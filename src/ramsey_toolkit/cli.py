@@ -3,7 +3,8 @@
 Every run is a pure function of its flags: explicit seeds, sorted
 iteration orders and canonical CSV formatting make repeated invocations
 byte-identical.  Exit status is 0 exactly when all requested artifacts
-were written and validated.
+were written and validated; a ``diag`` record that carries an error is
+reported on stderr and makes the status nonzero.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 from . import __version__
 from .cnf import CnfInstance, stream_cnf, write_map
 from .combinatorics import CliqueConstraint, frontier_profile, qubit_cost
-from .diagnostics import (DiagnosticsConfig, build_accumulator, control_record,
-                          exp_witness, run_diagnostics, sample_directions)
+from .diagnostics import (_DEFAULT_ALPHAS, _DEFAULT_SEEDS, DiagnosticsConfig,
+                          build_accumulator, control_record, exp_witness,
+                          run_diagnostics, sample_directions)
 from .primes import PSQuery, factorize, persistence_scan
 from .qsim import (block_encode_rank1, encode_operator, hadamard_test,
                    hutchinson_trace, lcu_block_encode, phase_estimate_dilation,
@@ -29,8 +31,6 @@ from . import spectral
 
 __all__ = ["RunConfig", "build_parser", "dispatch", "main"]
 
-_DEFAULT_SEEDS = (11, 23, 42, 73, 101, 137, 211, 307, 401, 509)
-_DEFAULT_ALPHAS = (3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 40.0)
 _DEFAULT_ORDERS = (43, 44, 45, 46)
 
 # Established diagonal bound corridors keyed by order.
@@ -168,6 +168,8 @@ def _cmd_diag(config: RunConfig) -> int:
               f"tr_lin={record.tr_lin:.6g} rho_H={record.rho_H:.4f} "
               f"critical={'indeterminate' if record.critical is None else record.critical}")
     print(f"wrote {table_one}")
+    errors = [f"n={record.n}: {record.error}" for record in records
+              if record.error is not None]
     if config.control_dir is not None:
         coloring = load_control_coloring(config.control_dir)
         control = control_record(coloring, sweep)
@@ -178,7 +180,11 @@ def _cmd_diag(config: RunConfig) -> int:
               f"critical="
               f"{'indeterminate' if control.critical is None else control.critical}")
         print(f"wrote {table_three}")
-    return 0
+        if control.error is not None:
+            errors.append(f"control v={coloring.v}: {control.error}")
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _cmd_cnf(config: RunConfig) -> int:

@@ -6,7 +6,9 @@ ordered linear deflation product prod_j (I - v_j v_j^T) and the exponential
 witness Tr exp(-alpha A), evaluated in the log domain so collapse depths
 hundreds of decades below underflow remain quotable.  A survivor subspace
 of rank r shows up as Tr exp(-alpha A) >= r at every alpha, which is what
-the criticality decision exploits.
+the criticality decision exploits.  The accumulator is symmetric PSD, so
+its top eigenvalue is its spectral norm rho_H; the sweep takes that, the
+exponential witness and lambda_L from one eigendecomposition per seed.
 
 All randomness flows from explicit integer seeds; records are pure
 functions of (configuration, n).
@@ -116,24 +118,33 @@ def deflation_probability(d: int, k: int) -> float:
 def deflation_mc(d: int, k: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the deflation residual with its standard error.
 
-    Each trial deflates a random unit target through k independent random
-    unit directions and records the remaining squared norm.  The estimator
-    is unbiased for (1 - 1/d)^k; independence of successive directions makes
-    the expectation telescope exactly.
+    Each trial is the squared norm left of a random unit target after k
+    deflations by independent uniform unit directions.  By rotational
+    invariance the squared overlap B_j of the j-th direction with the unit
+    vector of the current residual is Beta(1/2, (d - 1)/2), independent of
+    all earlier steps, so the residual after k steps is prod_j (1 - B_j) in
+    law.  That law is sampled directly: each factor 1 - B_j is drawn as
+    chi2_{d-1} / (z^2 + chi2_{d-1}) from one standard normal z and one
+    standard gamma, not from d Gaussians.  The product is built step by
+    step in preallocated (trials,) buffers, so memory is O(trials) at any k.
+    E[1 - B_j] = 1 - 1/d, so the estimator is unbiased for (1 - 1/d)^k.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
     rng = np.random.default_rng(seed)
-    targets = rng.normal(size=(trials, d))
-    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    residuals = np.ones(trials)
+    overlap = np.empty(trials)
+    rest = np.empty(trials)
     for _ in range(k):
-        directions = rng.normal(size=(trials, d))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        overlaps = np.einsum("td,td->t", targets, directions)
-        targets -= overlaps[:, None] * directions
-    residuals = np.einsum("td,td->t", targets, targets)
+        rng.standard_normal(out=overlap)
+        rng.standard_gamma(0.5 * (d - 1), out=rest)
+        rest *= 2.0                      # chi2_{d-1}
+        overlap *= overlap               # z^2, i.e. chi2_1
+        overlap += rest
+        rest /= overlap                  # 1 - B_j
+        residuals *= rest
     estimate = float(residuals.mean())
     std_error = float(residuals.std(ddof=1) / math.sqrt(trials))
     return estimate, std_error
@@ -191,14 +202,25 @@ def linear_witness(batch: DirectionBatch) -> tuple[float, float, float]:
     Returns (trace, min real part, max |imaginary part|); the empty batch
     yields (d, 1, 0) from P = I.
     """
-    d = batch.d
-    p = np.eye(d)
-    for v in batch.vectors:
-        p -= np.outer(p @ v, v)
+    trace, min_re, max_im = _deflation_witnesses(batch.vectors[None])
+    return float(trace[0]), float(min_re[0]), float(max_im[0])
+
+
+def _deflation_witnesses(vectors: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """linear_witness for a (S, k, d) stack of batches, all S at once.
+
+    The S products advance together, one Python step per direction.
+    """
+    stack, k, d = vectors.shape
+    p = np.tile(np.eye(d), (stack, 1, 1))
+    for j in range(k):
+        v = vectors[:, j, :]
+        p -= (p @ v[:, :, None]) * v[:, None, :]
     eigenvalues = np.linalg.eigvals(p)
-    return (float(np.trace(p).real),
-            float(eigenvalues.real.min()),
-            float(np.abs(eigenvalues.imag).max()))
+    return (np.trace(p, axis1=1, axis2=2),
+            eigenvalues.real.min(axis=1),
+            np.abs(eigenvalues.imag).max(axis=1))
 
 
 def _hermitian_eigenvalues(A) -> np.ndarray:
@@ -231,12 +253,17 @@ def lyapunov_rate(A, alpha: float) -> float:
     """
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    lam = np.asarray(_hermitian_eigenvalues(A), dtype=np.complex128)
+    return float(_boltzmann_mean(_hermitian_eigenvalues(A), alpha))
+
+
+def _boltzmann_mean(eigenvalues, alpha: float) -> np.ndarray:
+    """lyapunov_rate from eigenvalues; a (S, d) stack gives S rates."""
+    lam = np.asarray(eigenvalues, dtype=np.complex128)
     exponents = (-alpha * lam).real
-    shift = exponents.max()
+    shift = exponents.max(axis=-1, keepdims=True)
     weights = np.exp(exponents - shift)
-    value = np.sum(lam * weights) / np.sum(weights)
-    return float(value.real)
+    value = np.sum(lam * weights, axis=-1) / np.sum(weights, axis=-1)
+    return value.real
 
 
 def slope_fit(alphas: Sequence[float], log10_traces: Sequence[float]) -> float:
@@ -382,30 +409,29 @@ class DiagnosticsRecord:
 
 def _compute_record(config: DiagnosticsConfig, n: int,
                     embedding) -> DiagnosticsRecord:
+    """Seed-mean witnesses for order n from one spectrum per seed.
+
+    All of the order's batches are drawn first and their accumulators are
+    solved in one stacked eigvalsh call.  The accumulator is symmetric PSD,
+    so its top eigenvalue is its spectral norm: that is rho_H.  The
+    exponential witness and lambda_L come from the same eigenvalues, and the
+    deflation products of all seeds are built together.  Seed means are
+    summed in seed order, which keeps the CSV cells byte-stable.
+    """
     grid = config.alpha_grid
     alpha_decision = grid[-1]
-    per_alpha = np.zeros(len(grid))
-    tr_lin = min_re = max_im = lam_l = rho_h = 0.0
-    count = 0
-    for seed in config.seeds:
-        batch = embedding.batch(config.d, config.k, seed, n)
-        accumulator = build_accumulator(batch)
-        lin_tr, lin_min, lin_max = linear_witness(batch)
-        eigenvalues = _hermitian_eigenvalues(accumulator)
-        for idx, alpha in enumerate(grid):
-            per_alpha[idx] += spectral.log_trace_exp(eigenvalues, alpha)
-        tr_lin += lin_tr
-        min_re += lin_min
-        max_im += lin_max
-        lam_l += lyapunov_rate(accumulator, alpha_decision)
-        rho_h += spectral.spectral_norm(accumulator, tol=1e-10, max_iter=2000)
-        count += 1
-    per_alpha /= count
-    tr_lin /= count
-    min_re /= count
-    max_im /= count
-    lam_l /= count
-    rho_h /= count
+    batches = [embedding.batch(config.d, config.k, seed, n)
+               for seed in config.seeds]
+    eigenvalues = np.linalg.eigvalsh(
+        np.stack([build_accumulator(batch) for batch in batches]))
+    per_alpha = _seed_mean(np.array(
+        [[spectral.log_trace_exp(lam, alpha) for alpha in grid]
+         for lam in eigenvalues]))
+    tr_lin, min_re, max_im = (
+        float(_seed_mean(values)) for values in
+        _deflation_witnesses(np.stack([batch.vectors for batch in batches])))
+    lam_l = float(_seed_mean(_boltzmann_mean(eigenvalues, alpha_decision)))
+    rho_h = float(_seed_mean(eigenvalues[:, -1]))
     if len(grid) >= 2:
         slope = slope_fit(grid, per_alpha)
     else:
@@ -419,6 +445,30 @@ def _compute_record(config: DiagnosticsConfig, n: int,
         critical=None,
         trace_grid=tuple((a, float(t)) for a, t in zip(grid, per_alpha)),
     )
+
+
+def _seed_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over the leading (seed) axis, summed strictly in seed order."""
+    return np.add.accumulate(values, axis=0)[-1] / len(values)
+
+
+def _failed_record(config: DiagnosticsConfig, n: int,
+                   exc: Exception) -> DiagnosticsRecord:
+    """NaN witnesses for an order whose numerics failed, with the reason."""
+    nan = float("nan")
+    return DiagnosticsRecord(
+        n=n, d=config.d, k=config.k, alpha=config.alpha_grid[-1],
+        log10_tr_exp=nan, tr_lin=nan, min_re=nan, max_im=nan, slope=nan,
+        lambda_L=nan, rho_H=nan, critical=None,
+        error=f"{type(exc).__name__}: {exc}")
+
+
+def _record_or_failure(config: DiagnosticsConfig, n: int,
+                       embedding) -> DiagnosticsRecord:
+    try:
+        return _compute_record(config, n, embedding)
+    except np.linalg.LinAlgError as exc:
+        return _failed_record(config, n, exc)
 
 
 def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
@@ -435,17 +485,7 @@ def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
     orders = sorted(set(int(n) for n in n_values))
     if not orders:
         raise ValueError("n_values must be non-empty")
-    records: list[DiagnosticsRecord] = []
-    for n in orders:
-        try:
-            records.append(_compute_record(config, n, resolved))
-        except (np.linalg.LinAlgError, spectral.PowerIterationError) as exc:
-            nan = float("nan")
-            records.append(DiagnosticsRecord(
-                n=n, d=config.d, k=config.k, alpha=config.alpha_grid[-1],
-                log10_tr_exp=nan, tr_lin=nan, min_re=nan, max_im=nan,
-                slope=nan, lambda_L=nan, rho_H=nan, critical=None,
-                error=str(exc)))
+    records = [_record_or_failure(config, n, resolved) for n in orders]
     judged = []
     for idx, record in enumerate(records):
         before = records[idx - 1] if idx > 0 else None
@@ -498,9 +538,10 @@ def control_record(coloring, config: DiagnosticsConfig) -> DiagnosticsRecord:
     survivor subspace, so the control is evaluated at the certified minimum
     rank 1; the exponential witness then cannot fall below 1 and the record
     can never be judged critical (it also has no neighbours, so the verdict
-    is indeterminate by construction).
+    is indeterminate by construction).  A numerical failure is captured on
+    the record's ``error`` field, as in the sweep.
     """
     embedding = ConstraintRestricted({int(coloring.v): 1})
-    record = _compute_record(config, int(coloring.v), embedding)
+    record = _record_or_failure(config, int(coloring.v), embedding)
     verdict = decide_critical(record, config.thresholds, (None, None))
     return replace(record, critical=verdict)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from ramsey_toolkit import cli, diagnostics
 from ramsey_toolkit.cli import dispatch, main
 
 
@@ -48,6 +50,26 @@ class TestDiag:
                              "--out_dir", str(tmp_path),
                              "--am46_dir", str(tmp_path / "absent")])
         assert main() == 1
+
+    def test_failed_record_is_reported_and_exits_nonzero(
+            self, tmp_path, monkeypatch, capsys):
+        class FailsAtFive(diagnostics.SeedSchedule):
+            def batch(self, d, k, seed, n):
+                if n == 5:
+                    raise np.linalg.LinAlgError("no convergence")
+                return super().batch(d, k, seed, n)
+
+        real = cli.run_diagnostics
+        monkeypatch.setattr(
+            cli, "run_diagnostics",
+            lambda config, orders: real(config, orders, FailsAtFive()))
+        status = dispatch(["diag", "--d", "8", "--k", "12", "--seed", "5",
+                           "--n", "4", "5", "6", "--out_dir", str(tmp_path)])
+        assert status == 1
+        assert "n=5: LinAlgError: no convergence" in capsys.readouterr().err
+        rows = read_csv(tmp_path / "results_table_I.csv")
+        assert [row["n"] for row in rows] == ["4", "5", "6"]
+        assert rows[1]["rho_H"] == "nan"
 
     def test_byte_determinism(self, tmp_path):
         args = ["diag", "--d", "8", "--k", "12", "--alpha", "1.0", "3.0",

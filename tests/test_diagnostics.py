@@ -16,7 +16,8 @@ from ramsey_toolkit import (ConstraintRestricted, DecisionThresholds,
                             deflation_probability, exp_witness, linear_witness,
                             load_control_coloring, lyapunov_rate,
                             mean_field_trace, miss_probability,
-                            run_diagnostics, sample_directions, slope_fit)
+                            run_diagnostics, sample_directions, slope_fit,
+                            spectral_norm)
 
 
 class TestClosedForms:
@@ -73,6 +74,49 @@ class TestClosedForms:
     def test_deflation_mc_deterministic(self):
         assert deflation_mc(16, 40, 500, seed=9) == deflation_mc(
             16, 40, 500, seed=9)
+
+    def test_deflation_mc_zero_steps(self):
+        assert deflation_mc(8, 0, 100, seed=1) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("d, k", [(4, 3), (24, 100), (32, 220)])
+    def test_deflation_mc_exact_moments(self, d, k):
+        # prod_j (1 - B_j) with B_j ~ Beta(1/2, (d-1)/2) has raw moments
+        # E[R^m] = (prod_{i<m} (d - 1 + 2i) / (d + 2i))^k.
+        trials = 20_000
+        estimate, std_error = deflation_mc(d, k, trials, seed=d * k)
+        m1, m2, m4 = (_residual_moment(d, k, m) for m in (1, 2, 4))
+        assert abs(estimate - m1) <= 4 * std_error
+        second = std_error ** 2 * (trials - 1) + estimate ** 2
+        assert abs(second - m2) <= 4 * math.sqrt((m4 - m2 ** 2) / trials)
+
+    def test_deflation_mc_matches_geometric_route(self):
+        d, k, trials = 5, 4, 4000
+        geometric = _geometric_residuals(d, k, trials, seed=3)
+        estimate, std_error = deflation_mc(d, k, trials, seed=4)
+        variance = std_error ** 2 * trials
+        mean_se = math.sqrt(geometric.var(ddof=1) / trials + std_error ** 2)
+        assert abs(geometric.mean() - estimate) <= 4 * mean_se
+        centred = geometric - geometric.mean()
+        var_se = math.sqrt(2 * (np.mean(centred ** 4) - geometric.var() ** 2)
+                           / trials)
+        assert abs(geometric.var(ddof=1) - variance) <= 4 * var_se
+
+
+def _residual_moment(d: int, k: int, m: int) -> float:
+    return math.prod((d - 1 + 2 * i) / (d + 2 * i) for i in range(m)) ** k
+
+
+def _geometric_residuals(d: int, k: int, trials: int, seed: int) -> np.ndarray:
+    """Reference route: deflate unit targets by k explicit unit directions."""
+    rng = np.random.default_rng(seed)
+    targets = rng.normal(size=(trials, d))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    for _ in range(k):
+        directions = rng.normal(size=(trials, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        overlaps = np.einsum("td,td->t", targets, directions)
+        targets -= overlaps[:, None] * directions
+    return np.einsum("td,td->t", targets, targets)
 
 
 class TestDirections:
@@ -249,6 +293,55 @@ class TestRunDiagnostics:
             DiagnosticsConfig(alpha_grid=(3.0, 1.0))
         with pytest.raises(ValueError):
             DiagnosticsConfig(seeds=())
+
+    @pytest.mark.parametrize("embedding", [
+        SeedSchedule(), ConstraintRestricted({4: 2, 5: 3, 6: 1})])
+    def test_record_matches_per_seed_public_calls(self, embedding):
+        config = DiagnosticsConfig(d=12, k=30, alpha_grid=(1.0, 2.5, 6.0),
+                                   seeds=(3, 5, 8))
+        for record in run_diagnostics(config, (4, 5, 6), embedding):
+            rows = []
+            for seed in config.seeds:
+                batch = embedding.batch(config.d, config.k, seed, record.n)
+                acc = build_accumulator(batch)
+                rows.append([*linear_witness(batch),
+                             lyapunov_rate(acc, config.alpha_grid[-1]),
+                             spectral_norm(acc, tol=1e-10, max_iter=2000),
+                             *(exp_witness(acc, a) for a in config.alpha_grid)])
+            expected = np.mean(rows, axis=0)
+            traces = expected[5:]
+            got = [record.tr_lin, record.min_re, record.max_im,
+                   record.lambda_L, record.rho_H,
+                   *(t for _, t in record.trace_grid)]
+            assert got == pytest.approx(list(expected), rel=1e-9, abs=0.0)
+            assert record.log10_tr_exp == pytest.approx(traces[-1], rel=1e-9)
+            assert record.slope == pytest.approx(
+                slope_fit(config.alpha_grid, traces), rel=1e-9)
+
+    def test_linear_witness_matches_loop_reference(self):
+        batch = sample_directions(10, 40, 21)
+        p = np.eye(10)
+        for v in batch.vectors:
+            p -= np.outer(p @ v, v)
+        eigenvalues = np.linalg.eigvals(p)
+        assert linear_witness(batch) == pytest.approx(
+            (np.trace(p), eigenvalues.real.min(),
+             np.abs(eigenvalues.imag).max()), rel=1e-9, abs=1e-15)
+
+    def test_numerical_failure_is_carried_on_the_record(self):
+        class FailsAtFive(SeedSchedule):
+            def batch(self, d, k, seed, n):
+                if n == 5:
+                    raise np.linalg.LinAlgError("no convergence")
+                return super().batch(d, k, seed, n)
+
+        config = DiagnosticsConfig(d=8, k=20, alpha_grid=(1.0, 3.0),
+                                   seeds=(3,))
+        records = run_diagnostics(config, (4, 5, 6), FailsAtFive())
+        assert [r.error is None for r in records] == [True, False, True]
+        failed = records[1]
+        assert failed.error == "LinAlgError: no convergence"
+        assert math.isnan(failed.rho_H) and failed.critical is None
 
     def test_record_fields_within_ranges(self):
         config = DiagnosticsConfig(d=10, k=25, alpha_grid=(1.0, 3.0),
