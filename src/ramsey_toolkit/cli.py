@@ -3,22 +3,23 @@
 Every run is a pure function of its flags: explicit seeds, sorted
 iteration orders and canonical CSV formatting make repeated invocations
 byte-identical.  Exit status is 0 exactly when all requested artifacts
-were written and validated; a ``diag`` record that carries an error is
-reported on stderr and makes the status nonzero.
+were written and validated; a ``diag`` record that carries an error, or a
+``glue`` run past the labelling budget (which still writes the orders it
+finished), is reported on stderr and makes the status nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .cnf import CnfInstance, stream_cnf, write_map
-from .combinatorics import CliqueConstraint, frontier_profile, qubit_cost
+from .combinatorics import (BudgetError, CliqueConstraint, frontier_profile,
+                            qubit_cost)
 from .diagnostics import (_DEFAULT_ALPHAS, _DEFAULT_SEEDS, DiagnosticsConfig,
                           build_accumulator, control_record, exp_witness,
                           run_diagnostics, sample_directions)
@@ -29,34 +30,12 @@ from .qsim import (block_encode_rank1, encode_operator, hadamard_test,
 from .reporting import RESULT_COLUMNS, load_control_coloring, write_results
 from . import spectral
 
-__all__ = ["RunConfig", "build_parser", "dispatch", "main"]
+__all__ = ["build_parser", "dispatch", "main"]
 
 _DEFAULT_ORDERS = (43, 44, 45, 46)
 
 # Established diagonal bound corridors keyed by order.
 _DEFAULT_WINDOWS = {5: (43, 46), 6: (102, 160), 7: (205, 492)}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalised flag set for one invocation."""
-
-    subcommand: str
-    d: int = 24
-    k: int = 100
-    alphas: tuple[float, ...] = _DEFAULT_ALPHAS
-    seeds: tuple[int, ...] = _DEFAULT_SEEDS
-    n_values: tuple[int, ...] = _DEFAULT_ORDERS
-    out_dir: Path = Path("out")
-    control_dir: Path | None = None
-    N: int = 12
-    m: int = 5
-    n: int = 5
-    output: Path | None = None
-    emit_map: bool = False
-    vmax: int = 9
-    windows: tuple[tuple[int, int, int], ...] = field(default=())
-    seed: int = 12345
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,13 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser(
         "diag", help="seed-averaged projector diagnostics over graph orders")
-    diag.add_argument("--d", type=int, default=24, help="ambient dimension")
-    diag.add_argument("--k", type=int, default=100, help="directions per batch")
-    diag.add_argument("--alpha", type=float, nargs="+", default=None,
+    diag.add_argument("--d", type=int, default=DiagnosticsConfig.d,
+                      help="ambient dimension")
+    diag.add_argument("--k", type=int, default=DiagnosticsConfig.k,
+                      help="directions per batch")
+    diag.add_argument("--alpha", type=float, nargs="+",
+                      default=_DEFAULT_ALPHAS,
                       help="witness alpha grid (default: standard grid)")
-    diag.add_argument("--seed", type=int, nargs="+", default=None,
+    diag.add_argument("--seed", type=int, nargs="+", default=_DEFAULT_SEEDS,
                       help="seed ensemble (default: standard ensemble)")
-    diag.add_argument("--n", type=int, nargs="+", default=None,
+    diag.add_argument("--n", type=int, nargs="+", default=_DEFAULT_ORDERS,
                       help="graph orders to sweep")
     diag.add_argument("--out_dir", type=Path, default=Path("out"))
     diag.add_argument("--am46_dir", type=Path, default=None,
@@ -118,51 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    common: dict = {"subcommand": args.subcommand}
-    if args.subcommand == "diag":
-        alphas = tuple(sorted(args.alpha)) if args.alpha else _DEFAULT_ALPHAS
-        seeds = tuple(args.seed) if args.seed else _DEFAULT_SEEDS
-        orders = tuple(args.n) if args.n else _DEFAULT_ORDERS
-        common.update(d=args.d, k=args.k, alphas=alphas, seeds=seeds,
-                      n_values=orders, out_dir=args.out_dir,
-                      control_dir=args.am46_dir)
-    elif args.subcommand == "cnf":
-        common.update(N=args.N, m=args.m, n=args.n, output=args.o,
-                      emit_map=args.emit_map)
-    elif args.subcommand == "glue":
-        common.update(m=args.m, n=args.n, vmax=args.vmax, out_dir=args.out_dir)
-    elif args.subcommand == "prime":
-        orders = tuple(args.n)
-        windows = []
-        for order in orders:
-            if args.lo is not None or args.hi is not None:
-                if len(orders) != 1:
-                    raise ValueError(
-                        "--lo/--hi apply only when scanning a single order")
-                if args.lo is None or args.hi is None:
-                    raise ValueError("--lo and --hi must be given together")
-                windows.append((order, args.lo, args.hi))
-            else:
-                if order not in _DEFAULT_WINDOWS:
-                    raise ValueError(
-                        f"no default window for order {order}; pass --lo/--hi")
-                lo, hi = _DEFAULT_WINDOWS[order]
-                windows.append((order, lo, hi))
-        common.update(n_values=orders, windows=tuple(windows),
-                      out_dir=args.out_dir)
-    elif args.subcommand == "qsim":
-        common.update(seed=args.seed, out_dir=args.out_dir)
-    elif args.subcommand == "estimate":
-        common.update(n_values=tuple(args.n), out_dir=args.out_dir)
-    return RunConfig(**common)
-
-
-def _cmd_diag(config: RunConfig) -> int:
-    sweep = DiagnosticsConfig(d=config.d, k=config.k,
-                              alpha_grid=config.alphas, seeds=config.seeds)
-    records = run_diagnostics(sweep, config.n_values)
-    table_one = write_results(records, config.out_dir / "results_table_I.csv")
+def _cmd_diag(args: argparse.Namespace) -> int:
+    sweep = DiagnosticsConfig(d=args.d, k=args.k,
+                              alpha_grid=tuple(sorted(args.alpha)),
+                              seeds=tuple(args.seed))
+    records = run_diagnostics(sweep, tuple(args.n))
+    table_one = write_results(records, args.out_dir / "results_table_I.csv")
     for record in records:
         print(f"n={record.n}: log10_tr_exp={record.log10_tr_exp:.3f} "
               f"tr_lin={record.tr_lin:.6g} rho_H={record.rho_H:.4f} "
@@ -170,11 +113,11 @@ def _cmd_diag(config: RunConfig) -> int:
     print(f"wrote {table_one}")
     errors = [f"n={record.n}: {record.error}" for record in records
               if record.error is not None]
-    if config.control_dir is not None:
-        coloring = load_control_coloring(config.control_dir)
+    if args.am46_dir is not None:
+        coloring = load_control_coloring(args.am46_dir)
         control = control_record(coloring, sweep)
         table_three = write_results(
-            [control], config.out_dir / "results_table_III.csv")
+            [control], args.out_dir / "results_table_III.csv")
         print(f"control v={coloring.v}: log10_tr_exp="
               f"{control.log10_tr_exp:.3f} tr_lin={control.tr_lin:.6g} "
               f"critical="
@@ -187,28 +130,31 @@ def _cmd_diag(config: RunConfig) -> int:
     return 1 if errors else 0
 
 
-def _cmd_cnf(config: RunConfig) -> int:
-    output = config.output
-    assert output is not None
+def _cmd_cnf(args: argparse.Namespace) -> int:
+    output = args.o
     output.parent.mkdir(parents=True, exist_ok=True)
     with open(output, "w", encoding="ascii", newline="") as sink:
-        instance = stream_cnf(config.N, config.m, config.n, sink)
+        instance = stream_cnf(args.N, args.m, args.n, sink)
     print(f"wrote {output}: {instance.var_count} variables, "
           f"{instance.clause_count} clauses")
-    if config.emit_map:
+    if args.emit_map:
         map_path = Path(str(output) + ".map")
         with open(map_path, "w", encoding="ascii", newline="") as sink:
-            count = write_map(config.N, sink)
+            count = write_map(args.N, sink)
         print(f"wrote {map_path}: {count} edges")
     return 0
 
 
-def _cmd_glue(config: RunConfig) -> int:
-    constraint = CliqueConstraint(m=config.m, n=config.n)
-    profile = frontier_profile(constraint, config.vmax)
-    rows = [{"m": config.m, "n": config.n, "v": v, "good_classes": count}
+def _cmd_glue(args: argparse.Namespace) -> int:
+    constraint = CliqueConstraint(m=args.m, n=args.n)
+    try:
+        profile, error = frontier_profile(constraint, args.vmax), None
+    except BudgetError as exc:
+        # Keep the orders finished before the budget ran out.
+        profile, error = exc.partial, exc
+    rows = [{"m": args.m, "n": args.n, "v": v, "good_classes": count}
             for v, count in profile]
-    path = write_results(rows, config.out_dir / "glue_frontier.csv",
+    path = write_results(rows, args.out_dir / "glue_frontier.csv",
                          columns=("m", "n", "v", "good_classes"))
     for v, count in profile:
         print(f"v={v}: {count} good classes")
@@ -216,12 +162,30 @@ def _cmd_glue(config: RunConfig) -> int:
     if final_count == 0:
         print(f"threshold reached: no good colouring on {final_v} vertices")
     print(f"wrote {path}")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 
-def _cmd_prime(config: RunConfig) -> int:
+def _cmd_prime(args: argparse.Namespace) -> int:
+    # Validate every window before scanning, so a bad flag writes nothing.
+    windows = []
+    for order in args.n:
+        if args.lo is not None or args.hi is not None:
+            if len(args.n) != 1:
+                raise ValueError(
+                    "--lo/--hi apply only when scanning a single order")
+            if args.lo is None or args.hi is None:
+                raise ValueError("--lo and --hi must be given together")
+            windows.append((order, args.lo, args.hi))
+        elif order in _DEFAULT_WINDOWS:
+            windows.append((order, *_DEFAULT_WINDOWS[order]))
+        else:
+            raise ValueError(
+                f"no default window for order {order}; pass --lo/--hi")
     rows = []
-    for order, lo, hi in config.windows:
+    for order, lo, hi in windows:
         result = persistence_scan(order, lo, hi, PSQuery(k=1))
         for k_order, selected in result.selections:
             signature = factorize(selected)
@@ -234,7 +198,7 @@ def _cmd_prime(config: RunConfig) -> int:
             })
         print(f"n={order} window [{lo},{hi}]: persistent {result.value} "
               f"(k={result.plateau[0]}..{result.plateau[1]})")
-    path = write_results(rows, config.out_dir / "prime_scan.csv",
+    path = write_results(rows, args.out_dir / "prime_scan.csv",
                          columns=("n_diag", "k", "lo", "hi", "selected",
                                   "distinct", "max_exp", "in_plateau"))
     print(f"wrote {path}")
@@ -305,9 +269,9 @@ def _qsim_checks(seed: int) -> list[dict]:
     return checks
 
 
-def _cmd_qsim(config: RunConfig) -> int:
-    checks = _qsim_checks(config.seed)
-    path = write_results(checks, config.out_dir / "qsim_results.csv",
+def _cmd_qsim(args: argparse.Namespace) -> int:
+    checks = _qsim_checks(args.seed)
+    path = write_results(checks, args.out_dir / "qsim_results.csv",
                          columns=("check", "value", "reference", "tolerance",
                                   "status"))
     failures = 0
@@ -320,13 +284,13 @@ def _cmd_qsim(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _cmd_estimate(config: RunConfig) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> int:
     rows = []
-    for order in config.n_values:
+    for order in args.n:
         edges, total = qubit_cost(order)
         rows.append({"n": order, "edge_qubits": edges, "total_qubits": total})
         print(f"n={order}: {edges} edge qubits, {total} total")
-    path = write_results(rows, config.out_dir / "qubit_costs.csv",
+    path = write_results(rows, args.out_dir / "qubit_costs.csv",
                          columns=("n", "edge_qubits", "total_qubits"))
     print(f"wrote {path}")
     return 0
@@ -344,8 +308,7 @@ _HANDLERS = {
 
 def dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
-    return _HANDLERS[config.subcommand](config)
+    return _HANDLERS[args.subcommand](args)
 
 
 def main() -> int:

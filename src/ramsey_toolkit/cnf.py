@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import TextIO
 
-import numpy as np
-
-from .combinatorics import _subset_edge_masks
+from .combinatorics import (_ENUM_EDGE_BUDGET, CliqueConstraint,
+                            _enumerate_exists)
 
 __all__ = [
     "CnfInstance",
@@ -25,8 +24,6 @@ __all__ = [
     "write_map",
     "check_small",
 ]
-
-_CHECK_EDGE_BUDGET = 28
 
 
 @dataclass(frozen=True)
@@ -103,32 +100,14 @@ def write_map(N: int, sink: TextIO) -> int:
 def check_small(N: int, m: int, n: int) -> bool:
     """Exhaustive satisfiability of the instance for small N.
 
-    Walks every edge assignment (bitmask) and reports whether some
-    assignment satisfies all clauses, which by construction is the same
+    Runs the combinatorics module's bitmask sweep, which answers whether
+    some edge assignment satisfies all clauses: by construction the same
     question as the existence of a colouring of K_N with no red K_m and no
     blue K_n.  Requires ``C(N, 2) <= 28``.
     """
     instance = CnfInstance.for_problem(N, m, n)
-    e = instance.var_count
-    if e > _CHECK_EDGE_BUDGET:
+    if instance.var_count > _ENUM_EDGE_BUDGET:
         raise ValueError(
-            f"check_small requires C(N,2) <= {_CHECK_EDGE_BUDGET}, got {e}")
-    red_masks = [np.uint64(s) for s in _subset_edge_masks(N, m)]
-    blue_masks = [np.uint64(s) for s in _subset_edge_masks(N, n)]
-    chunk = 1 << 21
-    total = 1 << e
-    for start in range(0, total, chunk):
-        arr = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        sat = np.ones(arr.shape, dtype=bool)
-        for sm in red_masks:
-            sat &= (arr & sm) != sm
-            if not sat.any():
-                break
-        else:
-            for sm in blue_masks:
-                sat &= (arr & sm) != np.uint64(0)
-                if not sat.any():
-                    break
-        if sat.any():
-            return True
-    return False
+            f"check_small requires C(N,2) <= {_ENUM_EDGE_BUDGET}, "
+            f"got {instance.var_count}")
+    return _enumerate_exists(N, CliqueConstraint(m, n))

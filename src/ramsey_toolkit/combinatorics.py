@@ -1,17 +1,19 @@
 """Exact small-order Ramsey combinatorics: cliques, gluing, canonical forms.
 
-Two-colourings of complete graphs are stored as bit vectors over the
-row-major upper triangle (true = red).  Existence scans are chunked numpy
-bitmask sweeps; growth beyond the enumeration budget runs through a
-glue-and-prune frontier of canonical isomorphism classes.  The graded
-variant of the Ramsey recursion and the qubit budget helpers live here too.
+Public two-colourings of complete graphs are bit vectors over the
+row-major upper triangle (true = red).  Existence scans are one chunked
+numpy bitmask sweep; growth beyond the enumeration budget runs through one
+glue-and-prune walk over canonical isomorphism classes, which stores each
+colouring as a tuple of per-vertex red-adjacency masks and keys every child
+once, with no cache.  The graded variant of the Ramsey recursion and the
+qubit budget helpers live here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -150,15 +152,22 @@ def _has_clique(adj: list[int], vertex_count: int, size: int,
     return rec(start, size)
 
 
+def _blue(red) -> list[int]:
+    """Blue adjacency masks: the complement of ``red`` without loops."""
+    full = (1 << len(red)) - 1
+    return [full & ~r & ~(1 << i) for i, r in enumerate(red)]
+
+
+def _has_forbidden(red, constraint: CliqueConstraint) -> bool:
+    v = len(red)
+    return (_has_clique(red, v, constraint.m)
+            or _has_clique(_blue(red), v, constraint.n))
+
+
 def has_forbidden_clique(coloring: EdgeColoring,
                          constraint: CliqueConstraint) -> bool:
     """True when the colouring contains a red K_m or a blue K_n."""
-    v = coloring.v
-    red = coloring.red_neighbors()
-    full = (1 << v) - 1
-    blue = [full & ~red[i] & ~(1 << i) for i in range(v)]
-    return (_has_clique(red, v, constraint.m)
-            or _has_clique(blue, v, constraint.n))
+    return _has_forbidden(coloring.red_neighbors(), constraint)
 
 
 def _subset_edge_masks(v: int, size: int) -> list[int]:
@@ -184,8 +193,7 @@ def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
         raise BudgetError(
             f"enumeration needs 2^{e} masks, budget is 2^{_ENUM_EDGE_BUDGET}",
             partial=None)
-    all_blue = EdgeColoring(v=v, bits=(False,) * e)
-    if not has_forbidden_clique(all_blue, constraint):
+    if not _has_forbidden((0,) * v, constraint):
         return True
     if e == 0:
         return False
@@ -225,30 +233,57 @@ def exists_good_coloring(v: int, constraint: CliqueConstraint,
     e = v * (v - 1) // 2
     if mode == "enumerate" or (mode == "auto" and e <= _ENUM_EDGE_BUDGET):
         return _enumerate_exists(v, constraint)
-    frontier = _initial_frontier(constraint)
-    level = 1
-    while frontier and level < v:
-        frontier = _glue_frontier(frontier, constraint)
-        level += 1
-    return bool(frontier)
+    return _walk(constraint, v)[-1][1] > 0
 
 
-def _initial_frontier(constraint: CliqueConstraint) -> list[EdgeColoring]:
-    seed = EdgeColoring(v=1, bits=())
-    if has_forbidden_clique(seed, constraint):
-        return []
-    return [seed]
+def _next_frontier(frontier, constraint: CliqueConstraint) -> list[tuple]:
+    """Good one-vertex extensions of good colourings, one per canonical
+    class, sorted by key.
 
-
-def _glue_frontier(frontier: list[EdgeColoring],
-                   constraint: CliqueConstraint) -> list[EdgeColoring]:
-    classes: dict[bytes, EdgeColoring] = {}
-    for coloring in frontier:
-        for extended in glue_extensions(coloring, constraint):
-            key = canonical_key(extended)
-            if key not in classes:
-                classes[key] = extended
+    Assignment ``a`` makes the new vertex red-adjacent to the vertices set
+    in ``a``; only cliques through the new vertex are checked.  A class is
+    represented by the first child keyed to it, taking parents in order and
+    assignments in ascending order.
+    """
+    classes: dict[bytes, tuple[int, ...]] = {}
+    for red in frontier:
+        v = len(red)
+        blue = _blue(red)
+        full = (1 << v) - 1
+        for a in range(1 << v):
+            if _has_clique(red, v, constraint.m - 1, within=a):
+                continue
+            if _has_clique(blue, v, constraint.n - 1, within=full & ~a):
+                continue
+            child = tuple(r | ((a >> i) & 1) << v
+                          for i, r in enumerate(red)) + (a,)
+            classes.setdefault(_adjacency_key(child), child)
     return [classes[k] for k in sorted(classes)]
+
+
+def _walk(constraint: CliqueConstraint,
+          v_max: int) -> tuple[tuple[int, int], ...]:
+    """Grow the frontier of good canonical classes to order ``v_max``.
+
+    Returns the ``(v, count)`` profile, stopping after the first zero.
+    Past the canonical labelling budget the :class:`BudgetError` carries
+    the profile of the finished orders.
+    """
+    frontier = [] if _has_forbidden((0,), constraint) else [(0,)]
+    profile = [(1, len(frontier))]
+    while frontier and len(profile) < v_max:
+        try:
+            frontier = _next_frontier(frontier, constraint)
+        except BudgetError as exc:
+            raise BudgetError(str(exc), partial=tuple(profile)) from exc
+        profile.append((len(profile) + 1, len(frontier)))
+    return tuple(profile)
+
+
+def _to_coloring(red) -> EdgeColoring:
+    v = len(red)
+    return EdgeColoring(v=v, bits=tuple(
+        bool((red[i] >> j) & 1) for i in range(v) for j in range(i + 1, v)))
 
 
 def glue_extensions(coloring: EdgeColoring,
@@ -261,37 +296,11 @@ def glue_extensions(coloring: EdgeColoring,
     """
     if has_forbidden_clique(coloring, constraint):
         raise ValueError("glue_extensions requires a good colouring")
-    v = coloring.v
-    red = coloring.red_neighbors()
-    full = (1 << v) - 1
-    blue = [full & ~red[i] & ~(1 << i) for i in range(v)]
-
-    base_bits = {}
-    for i in range(1, v + 1):
-        for j in range(i + 1, v + 1):
-            base_bits[(i, j)] = coloring.bits[edge_index(i, j, v)]
-
-    seen: dict[bytes, EdgeColoring] = {}
-    for assignment in range(1 << v):
-        red_nbhd = assignment
-        blue_nbhd = full & ~assignment
-        if _has_clique(red, v, constraint.m - 1, within=red_nbhd):
-            continue
-        if _has_clique(blue, v, constraint.n - 1, within=blue_nbhd):
-            continue
-        bits = [False] * ((v + 1) * v // 2)
-        for (i, j), value in base_bits.items():
-            bits[edge_index(i, j, v + 1)] = value
-        for i in range(1, v + 1):
-            bits[edge_index(i, v + 1, v + 1)] = bool((assignment >> (i - 1)) & 1)
-        extended = EdgeColoring(v=v + 1, bits=tuple(bits))
-        key = canonical_key(extended)
-        if key not in seen:
-            seen[key] = extended
-    return [seen[k] for k in sorted(seen)]
+    return [_to_coloring(child) for child in
+            _next_frontier([coloring.red_neighbors()], constraint)]
 
 
-def _refined_colors(red: list[int], v: int) -> list[int]:
+def _refined_colors(red, v: int) -> list[int]:
     """Equitable-partition colours from iterated red-degree signatures.
 
     Colour ids are assigned by sorting signatures, so they are invariant
@@ -310,31 +319,36 @@ def _refined_colors(red: list[int], v: int) -> list[int]:
         colors = new_colors
 
 
-@lru_cache(maxsize=1 << 16)
 def canonical_key(coloring: EdgeColoring) -> bytes:
     """Isomorphism-invariant key: minimal colour-and-adjacency string.
 
     Exact (equal keys iff isomorphic), computed by a backtracking search for
     the lexicographically minimal ordering, pruned by equitable-partition
     colours and column comparisons.  Worst case is factorial, hence the
-    hard cap at v = 12.
+    hard cap at v = 12.  The key is computed from the red adjacency masks,
+    the form the glue walk stores colourings in; nothing is cached, so the
+    walk keys each child once.
     """
-    v = coloring.v
+    return _adjacency_key(coloring.red_neighbors())
+
+
+def _adjacency_key(red) -> bytes:
+    """:func:`canonical_key` of the colouring with red adjacency ``red``."""
+    v = len(red)
     if v > _CANONICAL_V_BUDGET:
         raise BudgetError(
             f"canonical_key supports v <= {_CANONICAL_V_BUDGET}, got {v}",
             partial=None)
-    red = coloring.red_neighbors()
     colors = _refined_colors(red, v)
 
     if v == 1:
         return bytes([1])
 
     # Monochromatic colourings: every ordering yields the same string.
-    if all(coloring.bits) or not any(coloring.bits):
-        cols = []
-        for t in range(1, v):
-            cols.append((colors[0], (1 << t) - 1 if coloring.bits[0] else 0))
+    red_degrees = sum(r.bit_count() for r in red)
+    if red_degrees in (0, v * (v - 1)):
+        cols = [(colors[0], (1 << t) - 1 if red_degrees else 0)
+                for t in range(1, v)]
         return _pack_key(v, colors[0], cols)
 
     best: list[tuple[int, int]] | None = None
@@ -376,13 +390,9 @@ def canonical_key(coloring: EdgeColoring) -> bytes:
 
 def _pack_key(v: int, first_color: int, cols: list[tuple[int, int]]) -> bytes:
     out = bytearray([v, first_color])
-    for entry in cols:
-        if isinstance(entry, tuple):
-            color, col = entry
-        else:
-            color, col = first_color, entry
+    for color, col in cols:
         out.append(color)
-        out += int(col).to_bytes(2, "big")
+        out += col.to_bytes(2, "big")
     return bytes(out)
 
 
@@ -411,21 +421,15 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
                 return v
         return None
 
-    frontier = _initial_frontier(constraint)
-    if not frontier:
-        return 1
-    v = 1
-    while v < v_max:
-        frontier = _glue_frontier(frontier, constraint)
-        v += 1
-        if mode == "auto" and v * (v - 1) // 2 <= 15:
-            agreed = _enumerate_exists(v, constraint)
-            if agreed != bool(frontier):
+    profile = _walk(constraint, v_max)
+    if mode == "auto":
+        for v, count in profile[1:]:
+            if (v * (v - 1) // 2 <= 15
+                    and _enumerate_exists(v, constraint) != (count > 0)):
                 raise RuntimeError(
                     f"frontier and enumeration disagree at v={v}")
-        if not frontier:
-            return v
-    return None
+    v, count = profile[-1]
+    return v if count == 0 else None
 
 
 def frontier_profile(constraint: CliqueConstraint,
@@ -433,17 +437,12 @@ def frontier_profile(constraint: CliqueConstraint,
     """Number of good canonical classes at each order 1..v_max.
 
     Stops early once the frontier empties; the final recorded count is 0.
+    Past the canonical labelling budget, :class:`BudgetError` carries the
+    profile of the orders already finished.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
-    frontier = _initial_frontier(constraint)
-    profile = [(1, len(frontier))]
-    v = 1
-    while v < v_max and frontier:
-        frontier = _glue_frontier(frontier, constraint)
-        v += 1
-        profile.append((v, len(frontier)))
-    return tuple(profile)
+    return _walk(constraint, v_max)
 
 
 @cache
@@ -484,11 +483,4 @@ def survivor_rank(constraint: CliqueConstraint, v: int, d: int) -> int:
         raise BudgetError(
             f"survivor_rank needs canonical labelling at v={v}, "
             f"budget is v <= {_CANONICAL_V_BUDGET}", partial=None)
-    frontier = _initial_frontier(constraint)
-    level = 1
-    while frontier and level < v:
-        frontier = _glue_frontier(frontier, constraint)
-        level += 1
-    if not frontier:
-        return 0
-    return min(d - 1, len(frontier))
+    return min(d - 1, _walk(constraint, v)[-1][1])

@@ -532,14 +532,17 @@ def decide_critical(record: DiagnosticsRecord,
 
 
 def control_record(coloring, config: DiagnosticsConfig) -> DiagnosticsRecord:
-    """Diagnostics for a control colouring under the restricted embedding.
+    """Diagnostics for a structural control colouring under the restricted
+    embedding.
 
-    An explicit good-colouring witness certifies at least a one-dimensional
-    survivor subspace, so the control is evaluated at the certified minimum
-    rank 1; the exponential witness then cannot fall below 1 and the record
-    can never be judged critical (it also has no neighbours, so the verdict
-    is indeterminate by construction).  A numerical failure is captured on
-    the record's ``error`` field, as in the sweep.
+    The control is a fixed colouring of K_v, not a good-colouring witness:
+    goodness is not checked, and the am46 fixture contains both a red and a
+    blue K_6 (no (5,5)-good colouring of K_46 exists).  The record is
+    evaluated at rank 1, the smallest nonzero survivor rank; the
+    exponential witness then cannot fall below 1 and the record can never
+    be judged critical (it also has no neighbours, so the verdict is
+    indeterminate by construction).  A numerical failure is captured on the
+    record's ``error`` field, as in the sweep.
     """
     embedding = ConstraintRestricted({int(coloring.v): 1})
     record = _record_or_failure(config, int(coloring.v), embedding)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ramsey_toolkit import cli, diagnostics
+from ramsey_toolkit import cli, combinatorics, diagnostics
 from ramsey_toolkit.cli import dispatch, main
 
 
@@ -113,6 +113,20 @@ class TestGlue:
                             ("4", "3"), ("5", "1"), ("6", "0")]
         assert "threshold reached" in capsys.readouterr().out
 
+    def test_budget_keeps_partial_frontier(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 6)
+        status = dispatch(["glue", "-m", "3", "-n", "4", "--vmax", "9",
+                           "--out_dir", str(tmp_path)])
+        assert status == 1
+        rows = read_csv(tmp_path / "glue_frontier.csv")
+        observed = [(row["v"], row["good_classes"]) for row in rows]
+        assert observed == [("1", "1"), ("2", "2"), ("3", "3"),
+                            ("4", "6"), ("5", "9"), ("6", "15")]
+        captured = capsys.readouterr()
+        assert "threshold reached" not in captured.out
+        assert "error:" in captured.err and "v <= 6" in captured.err
+
 
 class TestPrime:
     def test_default_scan(self, tmp_path):
@@ -142,6 +156,11 @@ class TestPrime:
     def test_unknown_order_needs_window(self):
         with pytest.raises(ValueError):
             dispatch(["prime", "--n", "9"])
+
+    def test_bad_window_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            dispatch(["prime", "--n", "6", "9", "--out_dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestQsim:

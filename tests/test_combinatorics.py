@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramsey_toolkit import combinatorics
 from ramsey_toolkit import (BudgetError, CliqueConstraint, EdgeColoring,
                             brute_force_ramsey, canonical_key, edge_index,
                             exists_good_coloring, frontier_profile,
@@ -246,6 +247,19 @@ class TestGlue:
         assert frontier_profile(CliqueConstraint(3, 4), 12) == (
             (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15), (7, 9),
             (8, 3), (9, 0))
+        # Known class counts of good colourings below R(3,5) and R(4,4).
+        known = {(3, 5): (1, 2, 3, 7, 13, 32, 71, 179),
+                 (4, 4): (1, 2, 4, 9, 24, 84, 362)}
+        for (m, n), counts in known.items():
+            assert frontier_profile(CliqueConstraint(m, n), len(counts)) == \
+                tuple(enumerate(counts, start=1))
+
+    def test_budget_error_carries_finished_profile(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 6)
+        with pytest.raises(BudgetError) as info:
+            frontier_profile(CliqueConstraint(3, 4), 9)
+        assert info.value.partial == (
+            (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))
 
     def test_frontier_complete_against_exhaustive_classes(self):
         # Every canonical class of good colourings at order v must appear
