@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -133,10 +134,17 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 def _cmd_cnf(args: argparse.Namespace) -> int:
     output = args.o
     output.parent.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     with open(output, "w", encoding="ascii", newline="") as sink:
         instance = stream_cnf(args.N, args.m, args.n, sink)
+    elapsed = time.perf_counter() - start
     print(f"wrote {output}: {instance.var_count} variables, "
           f"{instance.clause_count} clauses")
+    # Run summary on stderr, so no artifact depends on the clock.
+    print(f"cnf: {instance.clause_count} clauses, "
+          f"{output.stat().st_size / 1e6:.1f} MB in {elapsed:.2f} s "
+          f"({instance.clause_count / elapsed / 1e6:.1f}M clauses/s)",
+          file=sys.stderr)
     if args.emit_map:
         map_path = Path(str(output) + ".map")
         with open(map_path, "w", encoding="ascii", newline="") as sink:

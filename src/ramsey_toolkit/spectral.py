@@ -174,8 +174,13 @@ def spectral_norm(A, tol: float = 1e-8, max_iter: int = 500) -> float:
     The dilation spectrum is symmetric about zero, so a single-step
     iteration can oscillate between the +sigma and -sigma eigenvectors;
     applying H twice per step targets H^2 whose top eigenvalue is sigma^2
-    and restores convergence.  Failure to converge within ``max_iter``
-    raises :class:`PowerIterationError` carrying the last estimate.
+    and restores convergence.  The iteration stops once the unit iterate x
+    has Rayleigh quotient theta = x^H H^2 x with residual
+    ``||H^2 x - theta x|| <= tol * theta``; H^2 is Hermitian, so some
+    eigenvalue sigma_i^2 of it then lies within ``tol * theta`` of theta,
+    and ``sqrt(theta)`` is returned.  Failure to converge within
+    ``max_iter`` raises :class:`PowerIterationError` carrying the last
+    estimate.
     """
     B = np.asarray(A, dtype=np.complex128 if np.iscomplexobj(A) else np.float64)
     if B.ndim != 2 or B.size == 0:
@@ -200,22 +205,18 @@ def spectral_norm(A, tol: float = 1e-8, max_iter: int = 500) -> float:
     x = np.random.default_rng(0x5EED).standard_normal(n)
     x = x.astype(B.dtype) / np.linalg.norm(x)
 
-    estimate = 0.0
+    theta = 0.0
     for _ in range(max_iter):
         y = apply_h(x)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
+        # x^H H^2 x = ||H x||^2 for the unit iterate x.
+        theta = float(np.vdot(y, y).real)
+        if theta == 0.0:
             return 0.0
-        z = apply_h(y / ny)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0
-        # nz approximates sigma after the normalised double step.
-        new_estimate = nz
-        x = z / nz
-        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate):
-            return new_estimate
-        estimate = new_estimate
+        z = apply_h(y)
+        if np.linalg.norm(z - theta * x) <= tol * theta:
+            return math.sqrt(theta)
+        x = z / np.linalg.norm(z)
+    estimate = math.sqrt(theta)
     raise PowerIterationError(
         f"power iteration did not converge in {max_iter} iterations; "
         f"last estimate {estimate:.12g}",

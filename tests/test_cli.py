@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 
@@ -93,6 +94,14 @@ class TestCnf:
         map_lines = (tmp_path / "r55_N12.cnf.map").read_text().strip()
         assert len(map_lines.split("\n")) == 66
         assert map_lines.split("\n")[0] == "1 1 2"
+
+    def test_summary_on_stderr(self, tmp_path, capsys):
+        assert dispatch(["cnf", "-N", "12", "-m", "5", "-n", "5",
+                         "-o", str(tmp_path / "r55_N12.cnf")]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"cnf: 1584 clauses, 0\.1 MB in \d+\.\d\d s "
+            r"\(\d+\.\dM clauses/s\)\n", err)
 
     def test_determinism(self, tmp_path):
         for name in ("one.cnf", "two.cnf"):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramsey_toolkit import (CliqueConstraint, CnfInstance, check_small,
                             edge_var, exists_good_coloring, stream_cnf,
                             write_map)
+from ramsey_toolkit.cli import dispatch
 
 
 def parse_dimacs(text: str) -> tuple[tuple[int, int], list[list[int]]]:
@@ -24,6 +27,44 @@ def parse_dimacs(text: str) -> tuple[tuple[int, int], list[list[int]]]:
         assert literals[-1] == 0
         clauses.append(literals[:-1])
     return (int(nvars), int(nclauses)), clauses
+
+
+def _satisfiable(text: str) -> bool:
+    """Evaluate every clause on all 2^nvars assignments at once."""
+    (nvars, _), clauses = parse_dimacs(text)
+    assignments = (np.arange(1 << nvars)[:, None] >> np.arange(nvars)) & 1 == 1
+    satisfied = np.ones(1 << nvars, dtype=bool)
+    for clause in clauses:
+        satisfied &= np.any(
+            [assignments[:, abs(l) - 1] == (l > 0) for l in clause], axis=0)
+    return bool(satisfied.any())
+
+
+def _reference_stream(N: int, m: int, n: int, sink) -> CnfInstance:
+    """Reference encoder: one ``edge_var`` call and one format per literal."""
+    instance = CnfInstance.for_problem(N, m, n)
+    sink.write(f"p cnf {instance.var_count} {instance.clause_count}\n")
+    for subset in itertools.combinations(range(1, N + 1), m):
+        literals = " ".join(
+            f"-{edge_var(a, b, N)}"
+            for a, b in itertools.combinations(subset, 2))
+        sink.write(literals + " 0\n")
+    for subset in itertools.combinations(range(1, N + 1), n):
+        literals = " ".join(
+            f"{edge_var(a, b, N)}"
+            for a, b in itertools.combinations(subset, 2))
+        sink.write(literals + " 0\n")
+    return instance
+
+
+def _reference_map(N: int, sink) -> int:
+    """Reference map writer: one ``edge_var`` call per edge."""
+    count = 0
+    for i in range(1, N):
+        for j in range(i + 1, N + 1):
+            sink.write(f"{edge_var(i, j, N)} {i} {j}\n")
+            count += 1
+    return count
 
 
 class TestVariableNumbering:
@@ -108,6 +149,56 @@ class TestStreaming:
         assert first.getvalue() == second.getvalue()
 
 
+class TestByteOracle:
+    """The chunked encoder writes exactly the reference encoder's bytes."""
+
+    # m = 2 gives one-literal clauses; m or n > N gives no clauses of that
+    # sign; N = 5, 15, 46 put the largest variable at 10, 105 and 1,035,
+    # so token widths change inside one instance; (20, 5, 3) and (20, 2, 6)
+    # span several blocks.
+    GRID = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 3), (5, 2, 2),
+            (5, 2, 3), (5, 3, 2), (5, 3, 4), (5, 6, 3), (5, 3, 6),
+            (5, 5, 5), (7, 7, 3), (9, 2, 3), (12, 3, 4), (12, 5, 5),
+            (15, 2, 3), (15, 3, 3), (20, 5, 3), (20, 2, 6), (46, 2, 3),
+            (46, 3, 3)]
+
+    @pytest.mark.parametrize("N,m,n", GRID)
+    def test_stream_matches_reference_stringio(self, N, m, n):
+        got, expected = io.StringIO(), io.StringIO()
+        assert stream_cnf(N, m, n, got) == _reference_stream(N, m, n,
+                                                              expected)
+        assert got.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("N,m,n", [(2, 2, 3), (5, 3, 6), (15, 2, 3),
+                                       (20, 2, 6), (46, 3, 3)])
+    def test_stream_matches_reference_file(self, tmp_path, N, m, n):
+        path = tmp_path / "instance.cnf"
+        with open(path, "w", encoding="ascii", newline="") as sink:
+            stream_cnf(N, m, n, sink)
+        expected = io.StringIO()
+        _reference_stream(N, m, n, expected)
+        assert path.read_bytes() == expected.getvalue().encode("ascii")
+
+    @pytest.mark.parametrize("N", [2, 3, 5, 15, 46])
+    def test_map_matches_reference(self, N):
+        got, expected = io.StringIO(), io.StringIO()
+        assert write_map(N, got) == _reference_map(N, expected)
+        assert got.getvalue() == expected.getvalue()
+
+    def test_cli_digests_pinned(self, tmp_path):
+        target = tmp_path / "r44_N20.cnf"
+        assert dispatch(["cnf", "-N", "20", "-m", "4", "-n", "4",
+                         "-o", str(target), "--map"]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (target, tmp_path / "r44_N20.cnf.map")}
+        assert digests == {
+            "r44_N20.cnf": "1d2fcbdec2875ac17bfb5e6c627b245810bb10ca6c963cc"
+                           "999ccf5e637c6df27",
+            "r44_N20.cnf.map": "49cd1de78416743367379eb0788e40783f75d660b883f"
+                               "0d58c58b349e78e1aba",
+        }
+
+
 def _endpoints(var: int, N: int) -> tuple[int, int]:
     for i, j in itertools.combinations(range(1, N + 1), 2):
         if edge_var(i, j, N) == var:
@@ -153,6 +244,14 @@ class TestSemantics:
         for N in (4, 5, 6, 7):
             assert check_small(N, 3, 3) == exists_good_coloring(
                 N, CliqueConstraint(3, 3))
+            # Second routes: the glue walk, and for small N the streamed
+            # clauses evaluated one by one.
+            assert check_small(N, 3, 3) == exists_good_coloring(
+                N, CliqueConstraint(3, 3), "glue")
+            if N <= 6:
+                sink = io.StringIO()
+                stream_cnf(N, 3, 3, sink)
+                assert check_small(N, 3, 3) == _satisfiable(sink.getvalue())
         assert check_small(8, 3, 4) is True
         with pytest.raises(ValueError):
             check_small(9, 3, 4)

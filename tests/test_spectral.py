@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey_toolkit import (PowerIterationError, dilation_spectrum,
-                            eig_general, log_trace_exp, mat_exp, spectral_norm)
+from ramsey_toolkit import (DiagnosticsConfig, PowerIterationError,
+                            SeedSchedule, build_accumulator,
+                            dilation_spectrum, eig_general, log_trace_exp,
+                            mat_exp, spectral_norm)
 
 
 def random_diagonalizable(rng, d: int, complex_valued: bool = False):
@@ -174,6 +176,21 @@ class TestSpectralNorm:
         # double step must still converge here.
         a = np.diag([3.0, 1.0])
         assert spectral_norm(a) == pytest.approx(3.0, rel=1e-6)
+
+
+def test_spectral_norm_tol_bounds_default_ensemble():
+    # The default sweep's accumulators (d=24, k=400, ten seeds, n=43..46)
+    # converge slowly, so successive estimates can agree to 1e-10 while
+    # both sit 1e-9 below the top eigenvalue; tol must bound the error.
+    config = DiagnosticsConfig(d=24, k=400)
+    schedule = SeedSchedule()
+    for n in (43, 44, 45, 46):
+        for seed in config.seeds:
+            accumulator = build_accumulator(
+                schedule.batch(config.d, config.k, seed, n))
+            top = np.linalg.eigvalsh(accumulator)[-1]
+            assert spectral_norm(accumulator, tol=1e-10,
+                                 max_iter=2000) == pytest.approx(top, rel=1e-12)
 
 
 class TestLogTraceExp:
