@@ -1,12 +1,13 @@
 """Exact small-order Ramsey combinatorics: cliques, gluing, canonical forms.
 
 Public two-colourings of complete graphs are bit vectors over the
-row-major upper triangle (true = red).  Existence scans are one chunked
-numpy bitmask sweep; growth beyond the enumeration budget runs through one
-glue-and-prune walk over canonical isomorphism classes, which stores each
-colouring as a tuple of per-vertex red-adjacency masks and keys every child
-once, with no cache.  The graded variant of the Ramsey recursion and the
-qubit budget helpers live here too.
+row-major upper triangle (true = red).  One clique kernel serves both
+exact routes: ``_avoiding`` keeps the masks that contain no red clique mask
+and meet every blue one.  The existence sweep runs it over chunks of edge
+masks; the glue walk runs it over each parent's 2^v new-vertex assignments
+against the clique vertex masks ``_cliques`` yields, stores colourings as
+red-adjacency masks and keys each child once into its canonical class.
+The graded Ramsey recursion and qubit budget helpers live here too.
 """
 
 from __future__ import annotations
@@ -128,28 +129,38 @@ class EdgeColoring:
         return adj
 
 
-def _has_clique(adj: list[int], vertex_count: int, size: int,
-                within: int | None = None) -> bool:
-    """True when the graph given by bitmask adjacency contains a clique of
-    ``size`` vertices, optionally restricted to the vertex set ``within``."""
+def _cliques(adj, size: int, within: int):
+    """Vertex masks of the ``size``-cliques of ``adj`` inside ``within``,
+    lowest vertex first (lexicographic); size 0 yields 0 once."""
     if size <= 0:
-        return True
-    start = (1 << vertex_count) - 1 if within is None else within
+        yield 0
+        return
+    while within.bit_count() >= size:
+        low = within & -within
+        within ^= low
+        for rest in _cliques(adj, size - 1,
+                             within & adj[low.bit_length() - 1]):
+            yield low | rest
 
-    def rec(cands: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cands:
-            if cands.bit_count() < need:
-                return False
-            low = cands & -cands
-            i = low.bit_length() - 1
-            cands ^= low
-            if need == 1 or rec(cands & adj[i], need - 1):
-                return True
-        return False
 
-    return rec(start, size)
+def _has_clique(adj, vertex_count: int, size: int) -> bool:
+    """True when bitmask adjacency ``adj`` has a ``size``-clique."""
+    return next(_cliques(adj, size, (1 << vertex_count) - 1), None) is not None
+
+
+def _avoiding(masks: np.ndarray, inside, meet) -> np.ndarray:
+    """True where a ``uint64`` mask contains no mask of ``inside`` and meets
+    every mask of ``meet``; both are read lazily, only until none is left."""
+    good = np.ones(masks.shape, dtype=bool)
+    for sub in map(np.uint64, inside):
+        good &= (masks & sub) != sub
+        if not good.any():
+            return good
+    for sub in map(np.uint64, meet):
+        good &= (masks & sub) != 0
+        if not good.any():
+            break
+    return good
 
 
 def _blue(red) -> list[int]:
@@ -197,23 +208,12 @@ def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
         return True
     if e == 0:
         return False
-    red_masks = [np.uint64(m) for m in _subset_edge_masks(v, constraint.m)]
-    blue_masks = [np.uint64(m) for m in _subset_edge_masks(v, constraint.n)]
+    red_edge_masks = _subset_edge_masks(v, constraint.m)
+    blue_edge_masks = _subset_edge_masks(v, constraint.n)
     total = 1 << e
     for start in range(1, total, 2 * _CHUNK):
-        stop = min(start + 2 * _CHUNK, total)
-        arr = np.arange(start, stop, 2, dtype=np.uint64)
-        good = np.ones(arr.shape, dtype=bool)
-        for sm in red_masks:
-            good &= (arr & sm) != sm
-            if not good.any():
-                break
-        else:
-            for sm in blue_masks:
-                good &= (arr & sm) != np.uint64(0)
-                if not good.any():
-                    break
-        if good.any():
+        arr = np.arange(start, min(start + 2 * _CHUNK, total), 2, np.uint64)
+        if _avoiding(arr, red_edge_masks, blue_edge_masks).any():
             return True
     return False
 
@@ -241,20 +241,19 @@ def _next_frontier(frontier, constraint: CliqueConstraint) -> list[tuple]:
     class, sorted by key.
 
     Assignment ``a`` makes the new vertex red-adjacent to the vertices set
-    in ``a``; only cliques through the new vertex are checked.  A class is
-    represented by the first child keyed to it, taking parents in order and
-    assignments in ascending order.
+    in ``a``; it is good when it holds no red (m-1)-clique of the parent
+    and meets every blue (n-1)-clique, which one :func:`_avoiding` call
+    decides for all 2^v assignments.  A class is represented by the first
+    child keyed to it, taking parents and assignments in ascending order.
     """
     classes: dict[bytes, tuple[int, ...]] = {}
     for red in frontier:
         v = len(red)
-        blue = _blue(red)
         full = (1 << v) - 1
-        for a in range(1 << v):
-            if _has_clique(red, v, constraint.m - 1, within=a):
-                continue
-            if _has_clique(blue, v, constraint.n - 1, within=full & ~a):
-                continue
+        good = _avoiding(np.arange(1 << v, dtype=np.uint64),
+                         _cliques(red, constraint.m - 1, full),
+                         _cliques(_blue(red), constraint.n - 1, full))
+        for a in np.flatnonzero(good).tolist():
             child = tuple(r | ((a >> i) & 1) << v
                           for i, r in enumerate(red)) + (a,)
             classes.setdefault(_adjacency_key(child), child)
@@ -412,12 +411,13 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
 
     if mode == "enumerate":
         for v in range(1, v_max + 1):
-            e = v * (v - 1) // 2
-            if e > _ENUM_EDGE_BUDGET:
+            try:
+                exists = _enumerate_exists(v, constraint)
+            except BudgetError as exc:
                 raise BudgetError(
                     f"enumeration budget exceeded at v={v}; orders up to "
-                    f"{v - 1} admit good colourings", partial=v - 1)
-            if not _enumerate_exists(v, constraint):
+                    f"{v - 1} admit good colourings", partial=v - 1) from exc
+            if not exists:
                 return v
         return None
 

@@ -215,3 +215,25 @@ class TestEntryPoints:
                                           "--n", "9"])
         assert main() == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_subcommands_import_numpy_only(self, tmp_path):
+        # The package declares numpy as its only runtime dependency; a graph
+        # or scientific library that happens to be installed must not creep
+        # into any subcommand's import graph.
+        script = f"""
+import sys
+from ramsey_toolkit.cli import dispatch
+out = {str(tmp_path)!r}
+for argv in (["glue", "-m", "3", "-n", "3", "--vmax", "6"],
+             ["diag", "--d", "8", "--k", "12", "--seed", "5", "--n", "4", "5"],
+             ["qsim"], ["prime"], ["estimate"]):
+    assert dispatch(argv + ["--out_dir", out]) == 0, argv
+assert dispatch(["cnf", "-N", "6", "-m", "3", "-n", "3", "--map",
+                 "-o", out + "/r33_N6.cnf"]) == 0
+loaded = {{name.partition(".")[0] for name in sys.modules}}
+print(sorted(loaded & {{"scipy", "networkx", "sympy", "numba"}}))
+"""
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().split("\n")[-1] == "[]"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -27,6 +28,49 @@ def oracle_has_clique(coloring: EdgeColoring, size: int, red: bool) -> bool:
                for i, j in itertools.combinations(subset, 2)):
             return True
     return False
+
+
+def _reference_has_clique(adj, vertex_count: int, size: int,
+                          within: int | None = None) -> bool:
+    """The per-assignment clique recursion the glue walk used to prune with."""
+    if size <= 0:
+        return True
+    start = (1 << vertex_count) - 1 if within is None else within
+
+    def rec(cands: int, need: int) -> bool:
+        if need == 0:
+            return True
+        while cands:
+            if cands.bit_count() < need:
+                return False
+            low = cands & -cands
+            i = low.bit_length() - 1
+            cands ^= low
+            if need == 1 or rec(cands & adj[i], need - 1):
+                return True
+        return False
+
+    return rec(start, size)
+
+
+def _reference_next_frontier(frontier, constraint):
+    """The glue walk's level step with one clique recursion per assignment,
+    kept as the oracle for the shared subset-mask kernel."""
+    classes = {}
+    for red in frontier:
+        v = len(red)
+        blue = combinatorics._blue(red)
+        full = (1 << v) - 1
+        for a in range(1 << v):
+            if _reference_has_clique(red, v, constraint.m - 1, within=a):
+                continue
+            if _reference_has_clique(blue, v, constraint.n - 1,
+                                     within=full & ~a):
+                continue
+            child = tuple(r | ((a >> i) & 1) << v
+                          for i, r in enumerate(red)) + (a,)
+            classes.setdefault(combinatorics._adjacency_key(child), child)
+    return [classes[k] for k in sorted(classes)]
 
 
 def burnside_class_count(v: int) -> int:
@@ -108,6 +152,34 @@ class TestCliqueDetection:
                     or oracle_has_clique(coloring, n, red=False))
         assert has_forbidden_clique(coloring, CliqueConstraint(m, n)) == \
             expected
+
+
+class TestCliques:
+    @given(st.integers(min_value=0, max_value=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_itertools_oracle(self, v, data):
+        e = v * (v - 1) // 2
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << e) - 1),
+                         label="edges")
+        adj = EdgeColoring.from_mask(v, mask).red_neighbors() if v else []
+        size = data.draw(st.integers(min_value=0, max_value=5), label="size")
+        within = data.draw(st.integers(min_value=0, max_value=(1 << v) - 1),
+                           label="within")
+        members = [i for i in range(v) if (within >> i) & 1]
+        expected = [sum(1 << i for i in subset)
+                    for subset in itertools.combinations(members, size)
+                    if all((adj[i] >> j) & 1
+                           for i, j in itertools.combinations(subset, 2))]
+        assert list(combinatorics._cliques(adj, size, within)) == expected
+
+    def test_size_zero_and_oversized(self):
+        adj = [0b1110, 0b1101, 0b1011, 0b0111]
+        assert list(combinatorics._cliques(adj, 0, 0)) == [0]
+        assert list(combinatorics._cliques(adj, 0, 0b1111)) == [0]
+        assert list(combinatorics._cliques(adj, 3, 0b0101)) == []
+        assert list(combinatorics._cliques(adj, 5, 0b1111)) == []
+        assert list(combinatorics._cliques(adj, 3, 0b1111)) == [
+            0b0111, 0b1011, 0b1101, 0b1110]
 
 
 class TestExistence:
@@ -260,6 +332,30 @@ class TestGlue:
             frontier_profile(CliqueConstraint(3, 4), 9)
         assert info.value.partial == (
             (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))
+
+    @pytest.mark.parametrize("m,n,v_max", [
+        (3, 3, 6), (3, 4, 9), (3, 5, 9), (4, 4, 7), (2, 5, 6), (4, 3, 8),
+        (5, 3, 8)])
+    def test_walk_matches_per_assignment_oracle(self, m, n, v_max):
+        constraint = CliqueConstraint(m, n)
+        frontier = [(0,)]
+        while frontier and len(frontier[0]) < v_max:
+            expected = _reference_next_frontier(frontier, constraint)
+            frontier = combinatorics._next_frontier(frontier, constraint)
+            assert frontier == expected
+
+    @pytest.mark.parametrize("m,n,v,digest", [
+        (3, 5, 10, "f17bc5026659f8e793bc32b8f16c621a"
+                   "aaa9848efb21e5f89443192fe14f73bc"),
+        (4, 4, 7, "48fe889923b2963ba61603c40bb63c06"
+                  "c2954f08f9b378c23c3f803ae1022f06")],
+        ids=["r35_v10", "r44_v7"])
+    def test_frontier_digest(self, m, n, v, digest):
+        frontier = [(0,)]
+        for _ in range(v - 1):
+            frontier = combinatorics._next_frontier(
+                frontier, CliqueConstraint(m, n))
+        assert hashlib.sha256(repr(frontier).encode()).hexdigest() == digest
 
     def test_frontier_complete_against_exhaustive_classes(self):
         # Every canonical class of good colourings at order v must appear
