@@ -155,11 +155,13 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
 
 def _cmd_glue(args: argparse.Namespace) -> int:
     constraint = CliqueConstraint(m=args.m, n=args.n)
+    start = time.perf_counter()
     try:
         profile, error = frontier_profile(constraint, args.vmax), None
     except BudgetError as exc:
         # Keep the orders finished before the budget ran out.
         profile, error = exc.partial, exc
+    elapsed = time.perf_counter() - start
     rows = [{"m": args.m, "n": args.n, "v": v, "good_classes": count}
             for v, count in profile]
     path = write_results(rows, args.out_dir / "glue_frontier.csv",
@@ -170,6 +172,9 @@ def _cmd_glue(args: argparse.Namespace) -> int:
     if final_count == 0:
         print(f"threshold reached: no good colouring on {final_v} vertices")
     print(f"wrote {path}")
+    # Run summary on stderr, so no artifact depends on the clock.
+    print(f"glue: ({args.m},{args.n}) to v={args.vmax}, {final_count} classes "
+          f"at v={final_v} in {elapsed:.2f} s", file=sys.stderr)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1

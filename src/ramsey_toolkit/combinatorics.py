@@ -7,7 +7,11 @@ and meet every blue one.  The existence sweep runs it over chunks of edge
 masks; the glue walk runs it over each parent's 2^v new-vertex assignments
 against the clique vertex masks ``_cliques`` yields, stores colourings as
 red-adjacency masks and keys each child once into its canonical class.
-The graded Ramsey recursion and qubit budget helpers live here too.
+Canonical labelling refines red-degree colours by counting red neighbours
+per colour cell, then searches for the least ordering one colour cell at a
+time, branching only among tied cell members and trying one of each pair
+of twins.  The graded Ramsey recursion and qubit budget helpers live here
+too.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ __all__ = [
 # bitmask sweep; callers must take the glue-and-prune route instead.
 _ENUM_EDGE_BUDGET = 28
 
-# Canonical labelling cap; the search is exact but has a factorial worst case.
+# Canonical labelling cap; the search is exact but has a factorial worst case
+# (large cells of tied, non-twin vertices).
 _CANONICAL_V_BUDGET = 12
 
 _CHUNK = 1 << 21
@@ -300,33 +305,48 @@ def glue_extensions(coloring: EdgeColoring,
 
 
 def _refined_colors(red, v: int) -> list[int]:
-    """Equitable-partition colours from iterated red-degree signatures.
+    """Equitable-partition colours: red-degree ranks, refined to a fixpoint.
 
-    Colour ids are assigned by sorting signatures, so they are invariant
-    under vertex relabelling.
+    Each pass ranks vertices by their colour and then by the negated count
+    of red neighbours in every colour cell.  Vertices of one colour have
+    equal degree, so those counts order them exactly as their sorted lists
+    of neighbour colours would; a vertex alone in its cell needs no counts.
+    Colour ids are ranks, so they are invariant under vertex relabelling.
     """
-    colors = [0] * v
-    while True:
-        signatures = []
-        for i in range(v):
-            nbr = sorted(colors[j] for j in range(v) if (red[i] >> j) & 1)
-            signatures.append((colors[i], tuple(nbr)))
-        ordered = sorted(set(signatures))
-        new_colors = [ordered.index(s) for s in signatures]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
+    degrees = [r.bit_count() for r in red]
+    rank = {d: c for c, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    while len(rank) < v:
+        cells = [0] * len(rank)
+        for u, c in enumerate(colors):
+            cells[c] |= 1 << u
+        signatures = [(c, *[-(r & cell).bit_count() for cell in cells])
+                      if cells[c] & (cells[c] - 1) else (c,)
+                      for c, r in zip(colors, red)]
+        rank = {s: c for c, s in enumerate(sorted(set(signatures)))}
+        if len(rank) == len(cells):
+            break
+        colors = [rank[s] for s in signatures]
+    return colors
 
 
 def canonical_key(coloring: EdgeColoring) -> bytes:
     """Isomorphism-invariant key: minimal colour-and-adjacency string.
 
-    Exact (equal keys iff isomorphic), computed by a backtracking search for
-    the lexicographically minimal ordering, pruned by equitable-partition
-    colours and column comparisons.  Worst case is factorial, hence the
-    hard cap at v = 12.  The key is computed from the red adjacency masks,
-    the form the glue walk stores colourings in; nothing is cached, so the
-    walk keys each child once.
+    Exact (equal keys iff isomorphic).  Vertices get equitable-partition
+    colours by red degree, refined by counting red neighbours per colour
+    cell.  A chunk is a vertex's colour and then its adjacency column to
+    the vertices placed before it, and the key is the lexicographically
+    minimal chunk sequence over all orderings.  Colour compares first, so
+    the minimal ordering lists the cells in colour order; the backtracking
+    search branches only among the members of the current cell that tie on
+    the minimal column, walks singleton steps without branching and prunes
+    any prefix above the best found.  Of two tied candidates with the same
+    neighbours apart from each other (twins), only the first is tried:
+    swapping them is an automorphism fixing the prefix.  Worst case is
+    still factorial, hence the hard cap at v = 12.  The key is computed
+    from the red adjacency masks, the form the glue walk stores colourings
+    in; nothing is cached, so the walk keys each child once.
     """
     return _adjacency_key(coloring.red_neighbors())
 
@@ -338,58 +358,56 @@ def _adjacency_key(red) -> bytes:
         raise BudgetError(
             f"canonical_key supports v <= {_CANONICAL_V_BUDGET}, got {v}",
             partial=None)
-    colors = _refined_colors(red, v)
-
     if v == 1:
         return bytes([1])
+    colors = _refined_colors(red, v)
+    sequence = sorted(colors)
+    cells = [0] * (sequence[-1] + 1)
+    for u, c in enumerate(colors):
+        cells[c] |= 1 << u
+    # Columns of the least ordering found so far; every prefix the search
+    # visits is <= its prefix, and equal to it once a leaf below is reached.
+    best: list[int] | None = None
 
-    # Monochromatic colourings: every ordering yields the same string.
-    red_degrees = sum(r.bit_count() for r in red)
-    if red_degrees in (0, v * (v - 1)):
-        cols = [(colors[0], (1 << t) - 1 if red_degrees else 0)
-                for t in range(1, v)]
-        return _pack_key(v, colors[0], cols)
-
-    best: list[tuple[int, int]] | None = None
-
-    def column_of(candidate: int, order: list[int]) -> int:
-        col = 0
-        for u in order:
-            col = (col << 1) | ((red[candidate] >> u) & 1)
-        return col
-
-    def search(order: list[int], cols: list[tuple[int, int]]):
+    def search(t: int, remaining: int, order: list[int], cols: list[int]):
         nonlocal best
-        t = len(order)
-        if best is not None and cols > best[:t]:
-            return
-        if t == v:
-            if best is None or cols < best:
-                best = list(cols)
-            return
-        remaining = [u for u in range(v) if u not in order]
-        chunks = {u: (colors[u], column_of(u, order)) for u in remaining}
-        minimal = min(chunks.values())
-        # Lexicographic order is decided column by column, so only the
-        # candidates achieving the minimal next chunk can extend a minimum.
-        for u in remaining:
-            if chunks[u] != minimal:
-                continue
-            order.append(u)
+        while t < v:
+            chunks = []
+            members = cells[sequence[t]] & remaining
+            while members:
+                low = members & -members
+                members ^= low
+                u = low.bit_length() - 1
+                r, col = red[u], 0
+                for x in order:
+                    col = col << 1 | r >> x & 1
+                chunks.append((col, u))
+            minimal = min(chunks)[0]
+            if best is not None and minimal > best[t] and cols == best[:t]:
+                return
+            tied = [u for col, u in chunks if col == minimal]
+            if len(tied) > 1:
+                # Swapping twins u < w fixes the prefix and the colouring,
+                # so the subtree under w repeats the one under u.
+                kept = []
+                for w in tied:
+                    if all((red[u] ^ red[w]) & ~(1 << u | 1 << w)
+                           for u in kept):
+                        kept.append(w)
+                tied = kept
             cols.append(minimal)
-            search(order, cols)
-            cols.pop()
-            order.pop()
+            t += 1
+            if len(tied) > 1:
+                for u in tied:
+                    search(t, remaining & ~(1 << u), order + [u], cols[:])
+                return
+            order.append(tied[0])
+            remaining &= ~(1 << tied[0])
+        best = cols
 
-    search([], [])
-    assert best is not None
-    first_color = best[0][0]
-    return _pack_key(v, first_color, best[1:])
-
-
-def _pack_key(v: int, first_color: int, cols: list[tuple[int, int]]) -> bytes:
-    out = bytearray([v, first_color])
-    for color, col in cols:
+    search(0, (1 << v) - 1, [], [])
+    out = bytearray([v, sequence[0]])
+    for color, col in zip(sequence[1:], best[1:]):
         out.append(color)
         out += col.to_bytes(2, "big")
     return bytes(out)

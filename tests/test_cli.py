@@ -136,6 +136,21 @@ class TestGlue:
         assert "threshold reached" not in captured.out
         assert "error:" in captured.err and "v <= 6" in captured.err
 
+    def test_summary_on_stderr(self, tmp_path, capsys, monkeypatch):
+        assert dispatch(["glue", "-m", "3", "-n", "3", "--vmax", "8",
+                         "--out_dir", str(tmp_path)]) == 0
+        assert re.fullmatch(
+            r"glue: \(3,3\) to v=8, 0 classes at v=6 in \d+\.\d\d s\n",
+            capsys.readouterr().err)
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 6)
+        assert dispatch(["glue", "-m", "3", "-n", "4", "--vmax", "9",
+                         "--out_dir", str(tmp_path)]) == 1
+        summary, error = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"glue: \(3,4\) to v=9, 15 classes at v=6 in \d+\.\d\d s",
+            summary)
+        assert error.startswith("error: ")
+
 
 class TestPrime:
     def test_default_scan(self, tmp_path):

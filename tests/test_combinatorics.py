@@ -73,6 +73,81 @@ def _reference_next_frontier(frontier, constraint):
     return [classes[k] for k in sorted(classes)]
 
 
+def _reference_refined_colors(red, v: int) -> list[int]:
+    """Equitable-partition colours by sorting neighbour-colour lists, the
+    refinement canonical labelling used before it counted per cell."""
+    colors = [0] * v
+    while True:
+        signatures = []
+        for i in range(v):
+            nbr = sorted(colors[j] for j in range(v) if (red[i] >> j) & 1)
+            signatures.append((colors[i], tuple(nbr)))
+        ordered = sorted(set(signatures))
+        new_colors = [ordered.index(s) for s in signatures]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def _reference_key(red) -> bytes:
+    """The canonical key by a search over every remaining vertex at each
+    node, kept as the byte oracle for the cell-wise search."""
+    v = len(red)
+    colors = _reference_refined_colors(red, v)
+    if v == 1:
+        return bytes([1])
+    red_degrees = sum(r.bit_count() for r in red)
+    if red_degrees in (0, v * (v - 1)):
+        return _pack_reference(v, [(colors[0], (1 << t) - 1 if red_degrees
+                                    else 0) for t in range(v)])
+    best = None
+
+    def column_of(candidate, order):
+        col = 0
+        for u in order:
+            col = (col << 1) | ((red[candidate] >> u) & 1)
+        return col
+
+    def search(order, cols):
+        nonlocal best
+        t = len(order)
+        if best is not None and cols > best[:t]:
+            return
+        if t == v:
+            if best is None or cols < best:
+                best = list(cols)
+            return
+        remaining = [u for u in range(v) if u not in order]
+        chunks = {u: (colors[u], column_of(u, order)) for u in remaining}
+        minimal = min(chunks.values())
+        for u in remaining:
+            if chunks[u] != minimal:
+                continue
+            order.append(u)
+            cols.append(minimal)
+            search(order, cols)
+            cols.pop()
+            order.pop()
+
+    search([], [])
+    return _pack_reference(v, best)
+
+
+def _pack_reference(v: int, chunks) -> bytes:
+    out = bytearray([v, chunks[0][0]])
+    for color, col in chunks[1:]:
+        out.append(color)
+        out += col.to_bytes(2, "big")
+    return bytes(out)
+
+
+def _assert_matches_reference(red):
+    red = tuple(red)
+    assert combinatorics._refined_colors(red, len(red)) == \
+        _reference_refined_colors(red, len(red))
+    assert combinatorics._adjacency_key(red) == _reference_key(red)
+
+
 def burnside_class_count(v: int) -> int:
     """Number of 2-edge-colorings of K_v up to isomorphism.
 
@@ -287,6 +362,65 @@ class TestCanonicalKey:
     def test_budget(self):
         with pytest.raises(BudgetError):
             canonical_key(EdgeColoring.from_mask(13, 0))
+
+
+class TestReferenceKey:
+    """The cell-wise search and count refinement give the old key bytes."""
+
+    @pytest.mark.parametrize("m,n,v_max", [(3, 5, 9), (4, 4, 6)])
+    def test_walk_children(self, m, n, v_max, monkeypatch):
+        keyed = []
+        key = combinatorics._adjacency_key
+
+        def recording_key(red):
+            keyed.append(red)
+            return key(red)
+
+        monkeypatch.setattr(combinatorics, "_adjacency_key", recording_key)
+        frontier_profile(CliqueConstraint(m, n), v_max)
+        monkeypatch.undo()
+        assert keyed
+        for red in keyed:
+            _assert_matches_reference(red)
+
+    @given(st.integers(min_value=1, max_value=9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_and_dense_colourings(self, v, data):
+        pairs = list(itertools.combinations(range(v), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs
+                          else st.just(set()), label="edges")
+        if data.draw(st.booleans(), label="complement"):
+            edges = set(pairs) - edges
+        red = [0] * v
+        for i, j in edges:
+            red[i] |= 1 << j
+            red[j] |= 1 << i
+        _assert_matches_reference(red)
+
+    def test_r35_v10_frontier_keys_pinned(self):
+        frontier = [(0,)]
+        for _ in range(9):
+            frontier = combinatorics._next_frontier(
+                frontier, CliqueConstraint(3, 5))
+        keys = sorted(map(combinatorics._adjacency_key, frontier))
+        assert len(keys) == 313
+        assert hashlib.sha256(b"".join(keys)).hexdigest() == (
+            "b49c95bd265f020e876dacfacc550f20"
+            "c9e59d7c672b3df33b28bacaf867c947")
+
+    @pytest.mark.parametrize("blue", [False, True], ids=["red", "blue"])
+    def test_one_edge_at_budget_is_fast(self, blue):
+        import random
+        import time
+        v = 12
+        single = coloring_from_red_edges(v, [(1, 2)])
+        coloring = EdgeColoring(v=v, bits=tuple(b != blue for b in single.bits))
+        start = time.perf_counter()
+        key = canonical_key(coloring)
+        assert time.perf_counter() - start < 1.0
+        perm = list(range(1, v + 1))
+        random.Random(12).shuffle(perm)
+        assert canonical_key(permute_coloring(coloring, perm)) == key
 
 
 class TestGlue:
