@@ -5,12 +5,14 @@ row-major upper triangle (true = red).  One clique kernel serves both
 exact routes: ``_avoiding`` keeps the masks that contain no red clique mask
 and meet every blue one.  The existence sweep runs it over chunks of edge
 masks; the glue walk runs it over each parent's 2^v new-vertex assignments
-against the clique vertex masks ``_cliques`` yields, stores colourings as
-red-adjacency masks and keys each child once into its canonical class.
-Canonical labelling refines red-degree colours by counting red neighbours
-per colour cell, then searches for the least ordering one colour cell at a
-time, branching only among tied cell members and trying one of each pair
-of twins.  The graded Ramsey recursion and qubit budget helpers live here
+against the clique vertex masks ``_cliques`` yields and stores colourings as
+red-adjacency masks.  The walk grows classes by canonical augmentation: a
+child is kept only when its new vertex is canonical, and most children are
+rejected by degree and colour before any key is computed.  Canonical
+labelling refines red-degree colours by counting red neighbours per colour
+cell, then searches for the least ordering one colour cell at a time,
+branching only among tied cell members and trying one of each pair of
+twins.  The graded Ramsey recursion and qubit budget helpers live here
 too.
 """
 
@@ -241,28 +243,72 @@ def exists_good_coloring(v: int, constraint: CliqueConstraint,
     return _walk(constraint, v)[-1][1] > 0
 
 
-def _next_frontier(frontier, constraint: CliqueConstraint) -> list[tuple]:
-    """Good one-vertex extensions of good colourings, one per canonical
-    class, sorted by key.
+def _good_assignments(red, constraint: CliqueConstraint) -> list[int]:
+    """Ascending assignments ``a`` that extend ``red`` to a good colouring.
 
     Assignment ``a`` makes the new vertex red-adjacent to the vertices set
     in ``a``; it is good when it holds no red (m-1)-clique of the parent
     and meets every blue (n-1)-clique, which one :func:`_avoiding` call
-    decides for all 2^v assignments.  A class is represented by the first
-    child keyed to it, taking parents and assignments in ascending order.
+    decides for all 2^v assignments.
     """
-    classes: dict[bytes, tuple[int, ...]] = {}
+    v = len(red)
+    full = (1 << v) - 1
+    good = _avoiding(np.arange(1 << v, dtype=np.uint64),
+                     _cliques(red, constraint.m - 1, full),
+                     _cliques(_blue(red), constraint.n - 1, full))
+    return np.flatnonzero(good).tolist()
+
+
+def _extend(red, a: int) -> tuple[int, ...]:
+    """Red adjacency of ``red`` plus a new vertex red-adjacent to ``a``."""
+    v = len(red)
+    return tuple(r | ((a >> i) & 1) << v for i, r in enumerate(red)) + (a,)
+
+
+def _next_frontier(frontier, constraint: CliqueConstraint) -> list[tuple]:
+    """Good one-vertex extensions of good colourings, one per canonical
+    class, sorted by key.
+
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 1998): a child is kept only when its new vertex lies in
+    the orbit of the first vertex of its least ordering, so each class
+    comes from exactly one parent class.  Children are tried in ascending
+    order of parent and assignment and rejected as early as possible:
+
+    1. the new vertex must have the least red degree, which masks of the
+       parent's degrees decide without building the child;
+    2. it must lie in refined colour cell 0, the cell the least ordering
+       starts with;
+    3. some least ordering must start with it: :func:`_adjacency_key`
+       tries it first and gives up once another start beats it, and
+       otherwise returns the key.
+
+    Two kept children are isomorphic only when they share a parent and an
+    automorphism of the parent maps one assignment to the other, so keys
+    are deduplicated per parent, keeping the first child of each.
+    """
+    classes: list[tuple[bytes, tuple[int, ...]]] = []
     for red in frontier:
+        kept: dict[bytes, tuple[int, ...]] = {}
         v = len(red)
-        full = (1 << v) - 1
-        good = _avoiding(np.arange(1 << v, dtype=np.uint64),
-                         _cliques(red, constraint.m - 1, full),
-                         _cliques(_blue(red), constraint.n - 1, full))
-        for a in np.flatnonzero(good).tolist():
-            child = tuple(r | ((a >> i) & 1) << v
-                          for i, r in enumerate(red)) + (a,)
-            classes.setdefault(_adjacency_key(child), child)
-    return [classes[k] for k in sorted(classes)]
+        degrees = [r.bit_count() for r in red]
+        least = min(degrees)
+        lowest = sum(1 << u for u, d in enumerate(degrees) if d == least)
+        for a in _good_assignments(red, constraint):
+            # Degree k is least iff k <= least, or k == least + 1 and every
+            # vertex of the parent's least degree gains an edge.
+            k = a.bit_count()
+            if k > least and (k > least + 1 or a & lowest != lowest):
+                continue
+            child = _extend(red, a)
+            colors = _refined_colors(child, v + 1)
+            if colors[v]:
+                continue
+            key = _adjacency_key(child, colors, v)
+            if key is not None:
+                kept.setdefault(key, child)
+        classes += kept.items()
+    return [child for _, child in sorted(classes)]
 
 
 def _walk(constraint: CliqueConstraint,
@@ -295,13 +341,19 @@ def glue_extensions(coloring: EdgeColoring,
     """All good one-vertex extensions of a good colouring.
 
     The input must itself be good; only cliques through the new vertex are
-    re-checked.  The returned list is deduplicated up to isomorphism (one
-    representative per canonical class, in deterministic order).
+    re-checked.  The returned list is deduplicated up to isomorphism: each
+    class is represented by its first child, in key order.  Every child is
+    keyed here, because the walk's canonical augmentation keeps a class
+    under only the one parent class it comes from.
     """
     if has_forbidden_clique(coloring, constraint):
         raise ValueError("glue_extensions requires a good colouring")
-    return [_to_coloring(child) for child in
-            _next_frontier([coloring.red_neighbors()], constraint)]
+    red = coloring.red_neighbors()
+    classes: dict[bytes, tuple[int, ...]] = {}
+    for a in _good_assignments(red, constraint):
+        child = _extend(red, a)
+        classes.setdefault(_adjacency_key(child), child)
+    return [_to_coloring(classes[k]) for k in sorted(classes)]
 
 
 def _refined_colors(red, v: int) -> list[int]:
@@ -346,13 +398,24 @@ def canonical_key(coloring: EdgeColoring) -> bytes:
     swapping them is an automorphism fixing the prefix.  Worst case is
     still factorial, hence the hard cap at v = 12.  The key is computed
     from the red adjacency masks, the form the glue walk stores colourings
-    in; nothing is cached, so the walk keys each child once.
+    in, and nothing is cached.  The walk keys only the children that pass
+    its degree and colour tests, and the same search is its orbit test.
     """
     return _adjacency_key(coloring.red_neighbors())
 
 
-def _adjacency_key(red) -> bytes:
-    """:func:`canonical_key` of the colouring with red adjacency ``red``."""
+def _adjacency_key(red, colors=None, first=None) -> bytes | None:
+    """:func:`canonical_key` of the colouring with red adjacency ``red``.
+
+    ``colors`` are its :func:`_refined_colors` when the caller already has
+    them.  With ``first``, a vertex of colour 0, the key is returned only
+    when some least ordering starts with ``first``, and None otherwise:
+    ``first`` is tried first, and the search stops as soon as an ordering
+    with another first vertex is found to be smaller.  Orderings with equal
+    keys differ by an automorphism, so this asks whether ``first`` lies in
+    the orbit of canonical first vertices (McKay & Piperno, "Practical
+    graph isomorphism II", JSC 2014).
+    """
     v = len(red)
     if v > _CANONICAL_V_BUDGET:
         raise BudgetError(
@@ -360,7 +423,8 @@ def _adjacency_key(red) -> bytes:
             partial=None)
     if v == 1:
         return bytes([1])
-    colors = _refined_colors(red, v)
+    if colors is None:
+        colors = _refined_colors(red, v)
     sequence = sorted(colors)
     cells = [0] * (sequence[-1] + 1)
     for u, c in enumerate(colors):
@@ -368,9 +432,10 @@ def _adjacency_key(red) -> bytes:
     # Columns of the least ordering found so far; every prefix the search
     # visits is <= its prefix, and equal to it once a leaf below is reached.
     best: list[int] | None = None
+    beaten = False
 
     def search(t: int, remaining: int, order: list[int], cols: list[int]):
-        nonlocal best
+        nonlocal best, beaten
         while t < v:
             chunks = []
             members = cells[sequence[t]] & remaining
@@ -383,11 +448,18 @@ def _adjacency_key(red) -> bytes:
                     col = col << 1 | r >> x & 1
                 chunks.append((col, u))
             minimal = min(chunks)[0]
-            if best is not None and minimal > best[t] and cols == best[:t]:
-                return
+            if best is not None and minimal != best[t] and cols == best[:t]:
+                if minimal > best[t]:
+                    return
+                if first is not None and order[0] != first:
+                    beaten = True
+                    return
             tied = [u for col, u in chunks if col == minimal]
             if len(tied) > 1:
-                # Swapping twins u < w fixes the prefix and the colouring,
+                if t == 0 and first is not None:
+                    tied.remove(first)
+                    tied.insert(0, first)
+                # Swapping twins u, w fixes the prefix and the colouring,
                 # so the subtree under w repeats the one under u.
                 kept = []
                 for w in tied:
@@ -400,12 +472,16 @@ def _adjacency_key(red) -> bytes:
             if len(tied) > 1:
                 for u in tied:
                     search(t, remaining & ~(1 << u), order + [u], cols[:])
+                    if beaten:
+                        return
                 return
             order.append(tied[0])
             remaining &= ~(1 << tied[0])
         best = cols
 
     search(0, (1 << v) - 1, [], [])
+    if beaten:
+        return None
     out = bytearray([v, sequence[0]])
     for color, col in zip(sequence[1:], best[1:]):
         out.append(color)

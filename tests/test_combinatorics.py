@@ -141,6 +141,32 @@ def _pack_reference(v: int, chunks) -> bytes:
     return bytes(out)
 
 
+def _least_first_vertices(red) -> set[int]:
+    """First vertices of the least chunk sequences over every ordering."""
+    v = len(red)
+    colors = _reference_refined_colors(red, v)
+    sequences = {order: [(colors[u], tuple(red[u] >> x & 1 for x in order[:t]))
+                         for t, u in enumerate(order)]
+                 for order in itertools.permutations(range(v))}
+    least = min(sequences.values())
+    return {order[0] for order, seq in sequences.items() if seq == least}
+
+
+def _assert_first_vertex_orbit(red) -> set[int]:
+    """Check the orbit test of ``_adjacency_key`` at every vertex of colour
+    0 against every ordering; return the accepted first vertices."""
+    v = len(red)
+    colors = combinatorics._refined_colors(red, v)
+    key = combinatorics._adjacency_key(red)
+    starts = _least_first_vertices(red)
+    assert all(colors[u] == 0 for u in starts)
+    for u in range(v):
+        if colors[u] == 0:
+            assert combinatorics._adjacency_key(red, colors, u) == (
+                key if u in starts else None)
+    return starts
+
+
 def _assert_matches_reference(red):
     red = tuple(red)
     assert combinatorics._refined_colors(red, len(red)) == \
@@ -372,9 +398,9 @@ class TestReferenceKey:
         keyed = []
         key = combinatorics._adjacency_key
 
-        def recording_key(red):
+        def recording_key(red, *args):
             keyed.append(red)
-            return key(red)
+            return key(red, *args)
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", recording_key)
         frontier_profile(CliqueConstraint(m, n), v_max)
@@ -396,6 +422,25 @@ class TestReferenceKey:
             red[i] |= 1 << j
             red[j] |= 1 << i
         _assert_matches_reference(red)
+
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_vertex_orbit(self, v, data):
+        pairs = list(itertools.combinations(range(v), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges")
+        _assert_first_vertex_orbit(coloring_from_red_edges(
+            v, [(i + 1, j + 1) for i, j in edges]).red_neighbors())
+
+    @pytest.mark.parametrize("blue", [False, True], ids=["red", "blue"])
+    def test_first_vertex_orbit_splits_a_cell(self, blue):
+        # A triangle beside a 4-cycle is regular, so refinement leaves one
+        # cell, but no automorphism maps a triangle vertex to the cycle.
+        coloring = coloring_from_red_edges(
+            7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+        red = coloring.red_neighbors()
+        if blue:
+            red = combinatorics._blue(red)
+        assert _assert_first_vertex_orbit(red) in ({0, 1, 2}, {3, 4, 5, 6})
 
     def test_r35_v10_frontier_keys_pinned(self):
         frontier = [(0,)]
@@ -455,7 +500,7 @@ class TestGlue:
             (8, 3), (9, 0))
         # Known class counts of good colourings below R(3,5) and R(4,4).
         known = {(3, 5): (1, 2, 3, 7, 13, 32, 71, 179),
-                 (4, 4): (1, 2, 4, 9, 24, 84, 362)}
+                 (4, 4): (1, 2, 4, 9, 24, 84, 362, 2079)}
         for (m, n), counts in known.items():
             assert frontier_profile(CliqueConstraint(m, n), len(counts)) == \
                 tuple(enumerate(counts, start=1))
@@ -471,25 +516,51 @@ class TestGlue:
         (3, 3, 6), (3, 4, 9), (3, 5, 9), (4, 4, 7), (2, 5, 6), (4, 3, 8),
         (5, 3, 8)])
     def test_walk_matches_per_assignment_oracle(self, m, n, v_max):
+        # Representatives are the first children the walk accepts, not the
+        # oracle's first children, so the two are compared by their keys.
         constraint = CliqueConstraint(m, n)
         frontier = [(0,)]
         while frontier and len(frontier[0]) < v_max:
             expected = _reference_next_frontier(frontier, constraint)
             frontier = combinatorics._next_frontier(frontier, constraint)
-            assert frontier == expected
+            keys = [combinatorics._adjacency_key(red) for red in frontier]
+            assert len(set(keys)) == len(keys)
+            assert keys == [combinatorics._adjacency_key(red)
+                            for red in expected]
 
-    @pytest.mark.parametrize("m,n,v,digest", [
-        (3, 5, 10, "f17bc5026659f8e793bc32b8f16c621a"
-                   "aaa9848efb21e5f89443192fe14f73bc"),
-        (4, 4, 7, "48fe889923b2963ba61603c40bb63c06"
-                  "c2954f08f9b378c23c3f803ae1022f06")],
+    @pytest.mark.parametrize("m,n,v,count,digest", [
+        (3, 5, 10, 313, "b49c95bd265f020e876dacfacc550f20"
+                        "c9e59d7c672b3df33b28bacaf867c947"),
+        (4, 4, 7, 362, "f483efe6631074c402a1b0cf53752a83"
+                       "e238fa7d449b5a63bbaf54bdcc5d0196")],
         ids=["r35_v10", "r44_v7"])
-    def test_frontier_digest(self, m, n, v, digest):
+    def test_frontier_digest(self, m, n, v, count, digest):
+        # SHA-256 of the frontier's sorted canonical keys, as walked by the
+        # per-child keying that canonical augmentation replaced.
         frontier = [(0,)]
         for _ in range(v - 1):
             frontier = combinatorics._next_frontier(
                 frontier, CliqueConstraint(m, n))
-        assert hashlib.sha256(repr(frontier).encode()).hexdigest() == digest
+        keys = sorted(map(combinatorics._adjacency_key, frontier))
+        assert len(keys) == count
+        assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
+
+    @pytest.mark.parametrize("v,edges", [
+        (3, []),
+        (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+        (4, [(1, 2), (3, 4)])],
+        ids=["empty_k3", "red_c5", "red_matching"])
+    def test_extensions_of_symmetric_parents(self, v, edges):
+        # Automorphisms of the parent map assignments to isomorphic
+        # children; glue_extensions keeps exactly one child per class.
+        constraint = CliqueConstraint(3, 4)
+        parent = coloring_from_red_edges(v, edges)
+        expected = _reference_next_frontier([parent.red_neighbors()],
+                                            constraint)
+        assert len(expected) < len(combinatorics._good_assignments(
+            parent.red_neighbors(), constraint))
+        assert glue_extensions(parent, constraint) == [
+            combinatorics._to_coloring(red) for red in expected]
 
     def test_frontier_complete_against_exhaustive_classes(self):
         # Every canonical class of good colourings at order v must appear
