@@ -5,7 +5,9 @@ iteration orders and canonical CSV formatting make repeated invocations
 byte-identical.  Exit status is 0 exactly when all requested artifacts
 were written and validated; a ``diag`` record that carries an error, or a
 ``glue`` run past the labelling budget (which still writes the orders it
-finished), is reported on stderr and makes the status nonzero.
+finished), is reported on stderr and makes the status nonzero.  ``diag``,
+``cnf`` and ``glue`` also print a one-line run summary on stderr, so that
+no artifact depends on the clock.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
     sweep = DiagnosticsConfig(d=args.d, k=args.k,
                               alpha_grid=tuple(sorted(args.alpha)),
                               seeds=tuple(args.seed))
+    start = time.perf_counter()
     records = run_diagnostics(sweep, tuple(args.n))
     table_one = write_results(records, args.out_dir / "results_table_I.csv")
     for record in records:
@@ -126,6 +129,11 @@ def _cmd_diag(args: argparse.Namespace) -> int:
         print(f"wrote {table_three}")
         if control.error is not None:
             errors.append(f"control v={coloring.v}: {control.error}")
+    elapsed = time.perf_counter() - start
+    # Run summary on stderr, so no artifact depends on the clock.
+    print(f"diag: {len(args.n)} orders x {len(sweep.seeds)} seeds at "
+          f"d={sweep.d}, k={sweep.k}, {len(errors)} failed in {elapsed:.2f} s",
+          file=sys.stderr)
     for line in errors:
         print(f"error: {line}", file=sys.stderr)
     return 1 if errors else 0

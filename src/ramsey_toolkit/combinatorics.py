@@ -2,18 +2,18 @@
 
 Public two-colourings of complete graphs are bit vectors over the
 row-major upper triangle (true = red).  One clique kernel serves both
-exact routes: ``_avoiding`` keeps the masks that contain no red clique mask
-and meet every blue one.  The existence sweep runs it over chunks of edge
-masks; the glue walk runs it over each parent's 2^v new-vertex assignments
-against the clique vertex masks ``_cliques`` yields and stores colourings as
-red-adjacency masks.  The walk grows classes by canonical augmentation: a
-child is kept only when its new vertex is canonical, and most children are
-rejected by degree and colour before any key is computed.  Canonical
-labelling refines red-degree colours by counting red neighbours per colour
-cell, then searches for the least ordering one colour cell at a time,
-branching only among tied cell members and trying one of each pair of
-twins.  The graded Ramsey recursion and qubit budget helpers live here
-too.
+exact routes: ``_avoiding`` returns the ``uint32`` masks that contain no red
+clique mask and meet every blue one, dropping dead masks after each clique
+test.  The existence sweep runs it over chunks of edge masks; the glue walk
+runs it over each parent's 2^v new-vertex assignments against the clique
+vertex masks ``_cliques`` yields and stores colourings as red-adjacency
+masks.  The walk grows classes by canonical augmentation: a child is kept
+only when its new vertex is canonical, and most children are rejected by
+degree and colour before any key is computed.  Canonical labelling
+refines red-degree colours by counting red neighbours per colour cell, then
+searches for the least ordering one colour cell at a time, branching only
+among tied cell members and trying one of each pair of twins.  The graded
+Ramsey recursion and qubit budget helpers live here too.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ __all__ = [
 ]
 
 # Direct enumeration cap: edge counts above this would overflow the chunked
-# bitmask sweep; callers must take the glue-and-prune route instead.
+# bitmask sweep; callers must take the glue-and-prune route instead.  The
+# clique kernel holds masks as uint32, so this budget and the walk's parent
+# orders (below _CANONICAL_V_BUDGET) must both stay at most 32 bits.
 _ENUM_EDGE_BUDGET = 28
 
 # Canonical labelling cap; the search is exact but has a factorial worst case
@@ -156,18 +158,18 @@ def _has_clique(adj, vertex_count: int, size: int) -> bool:
 
 
 def _avoiding(masks: np.ndarray, inside, meet) -> np.ndarray:
-    """True where a ``uint64`` mask contains no mask of ``inside`` and meets
-    every mask of ``meet``; both are read lazily, only until none is left."""
-    good = np.ones(masks.shape, dtype=bool)
-    for sub in map(np.uint64, inside):
-        good &= (masks & sub) != sub
-        if not good.any():
-            return good
-    for sub in map(np.uint64, meet):
-        good &= (masks & sub) != 0
-        if not good.any():
+    """The ``uint32`` masks that contain no mask of ``inside`` and meet every
+    mask of ``meet``, in input order.  The survivors are compacted after each
+    test, and both iterables are read lazily, only until none is left."""
+    for sub in map(np.uint32, inside):
+        masks = masks[(masks & sub) != sub]
+        if not masks.size:
+            return masks
+    for sub in map(np.uint32, meet):
+        masks = masks[(masks & sub) != 0]
+        if not masks.size:
             break
-    return good
+    return masks
 
 
 def _blue(red) -> list[int]:
@@ -204,7 +206,10 @@ def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
     Only masks with edge {1, 2} red are scanned: a good colouring with any
     red edge can be relabelled to put that edge first, and goodness is
     label-invariant.  The all-blue colouring is the single remaining case
-    and is checked directly.
+    and is checked directly.  Each chunk of ``uint32`` edge masks goes
+    through :func:`_avoiding`, which compacts it to its survivors after
+    every clique test, so a chunk costs little once its first few red
+    cliques have killed most of its masks.
     """
     e = v * (v - 1) // 2
     if e > _ENUM_EDGE_BUDGET:
@@ -219,8 +224,8 @@ def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
     blue_edge_masks = _subset_edge_masks(v, constraint.n)
     total = 1 << e
     for start in range(1, total, 2 * _CHUNK):
-        arr = np.arange(start, min(start + 2 * _CHUNK, total), 2, np.uint64)
-        if _avoiding(arr, red_edge_masks, blue_edge_masks).any():
+        arr = np.arange(start, min(start + 2 * _CHUNK, total), 2, np.uint32)
+        if _avoiding(arr, red_edge_masks, blue_edge_masks).size:
             return True
     return False
 
@@ -248,15 +253,14 @@ def _good_assignments(red, constraint: CliqueConstraint) -> list[int]:
 
     Assignment ``a`` makes the new vertex red-adjacent to the vertices set
     in ``a``; it is good when it holds no red (m-1)-clique of the parent
-    and meets every blue (n-1)-clique, which one :func:`_avoiding` call
-    decides for all 2^v assignments.
+    and meets every blue (n-1)-clique.  One :func:`_avoiding` call over the
+    2^v assignments as ``uint32`` returns exactly these survivors.
     """
     v = len(red)
     full = (1 << v) - 1
-    good = _avoiding(np.arange(1 << v, dtype=np.uint64),
+    return _avoiding(np.arange(1 << v, dtype=np.uint32),
                      _cliques(red, constraint.m - 1, full),
-                     _cliques(_blue(red), constraint.n - 1, full))
-    return np.flatnonzero(good).tolist()
+                     _cliques(_blue(red), constraint.n - 1, full)).tolist()
 
 
 def _extend(red, a: int) -> tuple[int, ...]:

@@ -19,6 +19,20 @@ def read_csv(path):
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def _fail_at_five(monkeypatch):
+    """Make the CLI's diag sweep fail its record at order 5."""
+    class FailsAtFive(diagnostics.SeedSchedule):
+        def batch(self, d, k, seed, n):
+            if n == 5:
+                raise np.linalg.LinAlgError("no convergence")
+            return super().batch(d, k, seed, n)
+
+    real = cli.run_diagnostics
+    monkeypatch.setattr(
+        cli, "run_diagnostics",
+        lambda config, orders: real(config, orders, FailsAtFive()))
+
+
 class TestDiag:
     def test_minimal_table_invocation(self, tmp_path):
         status = dispatch(["diag", "--d", "24", "--k", "400",
@@ -54,16 +68,7 @@ class TestDiag:
 
     def test_failed_record_is_reported_and_exits_nonzero(
             self, tmp_path, monkeypatch, capsys):
-        class FailsAtFive(diagnostics.SeedSchedule):
-            def batch(self, d, k, seed, n):
-                if n == 5:
-                    raise np.linalg.LinAlgError("no convergence")
-                return super().batch(d, k, seed, n)
-
-        real = cli.run_diagnostics
-        monkeypatch.setattr(
-            cli, "run_diagnostics",
-            lambda config, orders: real(config, orders, FailsAtFive()))
+        _fail_at_five(monkeypatch)
         status = dispatch(["diag", "--d", "8", "--k", "12", "--seed", "5",
                            "--n", "4", "5", "6", "--out_dir", str(tmp_path)])
         assert status == 1
@@ -71,6 +76,25 @@ class TestDiag:
         rows = read_csv(tmp_path / "results_table_I.csv")
         assert [row["n"] for row in rows] == ["4", "5", "6"]
         assert rows[1]["rho_H"] == "nan"
+
+    def test_summary_on_stderr(self, tmp_path, capsys, monkeypatch):
+        assert dispatch(["diag", "--d", "8", "--k", "12", "--seed", "5", "7",
+                         "--n", "4", "5", "6",
+                         "--out_dir", str(tmp_path)]) == 0
+        assert re.fullmatch(
+            r"diag: 3 orders x 2 seeds at d=8, k=12, 0 failed "
+            r"in \d+\.\d\d s\n",
+            capsys.readouterr().err)
+
+        _fail_at_five(monkeypatch)
+        assert dispatch(["diag", "--d", "8", "--k", "12", "--seed", "5",
+                         "--n", "4", "5", "--out_dir", str(tmp_path)]) == 1
+        summary, error = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"diag: 2 orders x 1 seeds at d=8, k=12, 1 failed "
+            r"in \d+\.\d\d s",
+            summary)
+        assert error == "error: n=5: LinAlgError: no convergence"
 
     def test_byte_determinism(self, tmp_path):
         args = ["diag", "--d", "8", "--k", "12", "--alpha", "1.0", "3.0",

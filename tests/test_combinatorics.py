@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +72,29 @@ def _reference_next_frontier(frontier, constraint):
                           for i, r in enumerate(red)) + (a,)
             classes.setdefault(combinatorics._adjacency_key(child), child)
     return [classes[k] for k in sorted(classes)]
+
+
+def _reference_avoiding(masks, inside, meet):
+    """The boolean clique kernel: True where a mask contains no mask of
+    ``inside`` and meets every mask of ``meet``, kept as the oracle for the
+    compacting one."""
+    good = np.ones(masks.shape, dtype=bool)
+    for sub in map(np.uint64, inside):
+        good &= (masks & sub) != sub
+        if not good.any():
+            return good
+    for sub in map(np.uint64, meet):
+        good &= (masks & sub) != 0
+        if not good.any():
+            break
+    return good
+
+
+def _counting(values, reads):
+    """Yield ``values``, appending each one to ``reads`` as it is read."""
+    for x in values:
+        reads.append(x)
+        yield x
 
 
 def _reference_refined_colors(red, v: int) -> list[int]:
@@ -283,6 +307,55 @@ class TestCliques:
             0b0111, 0b1011, 0b1101, 0b1110]
 
 
+_UINT32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
+
+
+class TestAvoiding:
+    @given(st.lists(_UINT32, max_size=60), st.lists(_UINT32, max_size=6),
+           st.lists(_UINT32, max_size=6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_boolean_kernel(self, values, inside, meet, data):
+        # Narrow random masks so that some survive the tests.
+        width = data.draw(st.sampled_from([0x7, 0xFF, 0xFFFF, 0xFFFFFFFF]),
+                          label="width")
+        masks = np.array([x & width for x in values], dtype=np.uint32)
+        inside = [x & width for x in inside]
+        meet = [x & width for x in meet]
+        got = combinatorics._avoiding(masks, inside, meet)
+        expected = masks[_reference_avoiding(masks, inside, meet)]
+        assert got.dtype == np.uint32
+        assert got.tolist() == expected.tolist()
+
+    def test_zero_masks(self):
+        masks = np.arange(8, dtype=np.uint32)
+        # Every mask contains 0 and none meets it.
+        assert combinatorics._avoiding(masks, [0], []).size == 0
+        assert combinatorics._avoiding(masks, [], [0]).size == 0
+        assert combinatorics._avoiding(masks, [], []).tolist() == [
+            0, 1, 2, 3, 4, 5, 6, 7]
+        assert combinatorics._avoiding(masks, [0b100], [0b011]).tolist() == [
+            1, 2, 3]
+
+    def test_inside_stops_at_the_emptying_mask(self):
+        masks = np.array([0b01, 0b10, 0b11], dtype=np.uint32)
+        inside_reads, meet_reads = [], []
+        got = combinatorics._avoiding(
+            masks, _counting([0b01, 0b10, 0b100, 0b1000], inside_reads),
+            _counting([0b1], meet_reads))
+        assert got.size == 0 and got.dtype == np.uint32
+        assert inside_reads == [0b01, 0b10]
+        assert meet_reads == []
+
+    def test_meet_stops_at_the_emptying_mask(self):
+        masks = np.array([0b01, 0b10, 0b11], dtype=np.uint32)
+        meet_reads = []
+        got = combinatorics._avoiding(
+            masks, [0b100],
+            _counting([0b11, 0b01, 0b10, 0b100, 0b1000], meet_reads))
+        assert got.size == 0
+        assert meet_reads == [0b11, 0b01, 0b10, 0b100]
+
+
 class TestExistence:
     def test_r33_boundary(self):
         constraint = CliqueConstraint(3, 3)
@@ -298,6 +371,26 @@ class TestExistence:
         assert not exists_good_coloring(9, constraint, mode="glue")
         with pytest.raises(BudgetError):
             exists_good_coloring(9, constraint, mode="enumerate")
+
+    def test_full_sweep_at_the_edge_budget(self, monkeypatch):
+        # (8; 3,3) is UNSAT, so the e=28 sweep reads every chunk up to the
+        # mask with all 28 edge bits set, as uint32.
+        seen = []
+        avoiding = combinatorics._avoiding
+
+        def recording(masks, inside, meet):
+            seen.append((masks.dtype, masks.size, int(masks[0]),
+                         int(masks[-1])))
+            return avoiding(masks, inside, meet)
+
+        monkeypatch.setattr(combinatorics, "_avoiding", recording)
+        assert exists_good_coloring(8, CliqueConstraint(3, 3),
+                                    "enumerate") is False
+        assert {dtype for dtype, *_ in seen} == {np.dtype(np.uint32)}
+        assert sum(size for _, size, _, _ in seen) == 1 << 27
+        assert seen[0][2] == 1
+        assert seen[-1][3] == (1 << 28) - 1
+        assert all(prev[3] + 2 == nxt[2] for prev, nxt in zip(seen, seen[1:]))
 
     def test_r2n_is_n(self):
         for n in (2, 3, 5, 7):
