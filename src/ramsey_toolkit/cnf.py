@@ -3,15 +3,16 @@
 One boolean variable per edge of K_N (true = red); every m-subset
 contributes a clause forbidding an all-red clique, every n-subset one
 forbidding an all-blue clique.  Clauses are streamed in lexicographic
-subset order with constant memory, so the emitted bytes are a pure
-function of (N, m, n).
+subset order, so the emitted bytes are a pure function of (N, m, n).
+Memory is one table of C(N, size-1) suffix rows per clause size, plus one
+block, whatever the clause count: about 5 MB per side at N = 43, m = 5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import TextIO
 
 import numpy as np
@@ -27,8 +28,8 @@ __all__ = [
     "check_small",
 ]
 
-# Literals encoded per block (about 13k subsets at m = 5): one gather and
-# one ``sink.write`` each, so memory is bounded whatever the clause count.
+# Literals encoded per block (about 13k subsets at m = 5): one head gather
+# and one ``sink.write`` each.
 _BLOCK_LITERALS = 1 << 17
 
 
@@ -78,12 +79,13 @@ def _edge_table(N: int) -> np.ndarray:
 
 
 def _token_table(var_count: int, sign: str) -> np.ndarray:
-    """ASCII rows of the literal tokens ``f"{sign}{t} "`` for t = 0..var_count,
-    zero-padded on the right to one width (row 0 is never gathered)."""
+    """The literal tokens ``f"{sign}{t} "`` for t = 0..var_count, zero-padded
+    on the right to one width, as one ``np.void`` item each, so that a
+    gather moves whole tokens (item 0 is never gathered)."""
     tokens = [f"{sign}{t} ".encode("ascii") for t in range(var_count + 1)]
     width = len(tokens[-1])
     return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens),
-                         dtype=np.uint8).reshape(-1, width)
+                         dtype=np.dtype((np.void, width)))
 
 
 def _stream_clauses(N: int, size: int, tokens: np.ndarray, var: np.ndarray,
@@ -92,26 +94,52 @@ def _stream_clauses(N: int, size: int, tokens: np.ndarray, var: np.ndarray,
     one ``sink.write`` per block of subsets; returns the clause count.
 
     Each clause is the tokens of the subset's edge variables in
-    ``combinations`` order, then ``0``.  A block is gathered as fixed-width
-    byte rows; dropping the zero padding leaves the clause text.
+    ``combinations`` order, then ``0``.  For the subset ``{i} + S`` with
+    ``i < min S`` that is the head, the tokens of the edges ``(i, s)`` for
+    ``s`` in ``S``, followed by the suffix, the tokens of the pairs inside
+    ``S``.  The suffix rows of all ``(size-1)``-subsets ``S`` are gathered
+    once, in lexicographic order; those with ``min S > i`` are a contiguous
+    tail of that table, so a block for first vertex ``i`` gathers only its
+    heads and copies a slice of suffix rows.  Rows are fixed-width bytes;
+    dropping the zero padding leaves the clause text.  Memory holds the
+    table of C(N, size-1) suffix rows and subsets, plus one block.
     """
-    p, q = np.array(list(combinations(range(size), 2)), dtype=np.intp).T
-    block_rows = min(max(1, _BLOCK_LITERALS // p.size), math.comb(N, size))
-    width = p.size * tokens.shape[1]
-    rows = np.empty((block_rows, width + 2), dtype=np.uint8)
+    if size > N:
+        return 0
+    k = size - 1
+    # uint16 holds every vertex label that can get here: at N = 2^16,
+    # _edge_table alone would need (N+1)^2 intp entries, 32 GiB.
+    suffixes = np.fromiter(
+        chain.from_iterable(combinations(range(1, N + 1), k)),
+        dtype=np.uint16, count=math.comb(N, k) * k).reshape(-1, k)
+    p, q = np.array(list(combinations(range(k), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+    block_rows = max(1, _BLOCK_LITERALS // math.comb(size, 2))
+    head_width = k * tokens.itemsize
+    width = head_width + p.size * tokens.itemsize
+    suffix_rows = np.empty((suffixes.shape[0], width - head_width),
+                           dtype=np.uint8)
+    for start in range(0, suffixes.shape[0], block_rows):
+        chunk = suffixes[start:start + block_rows]
+        suffix_rows[start:start + chunk.shape[0]] = np.take(
+            tokens, var[chunk[:, p], chunk[:, q]]).view(np.uint8)
+    rows = np.empty((min(block_rows, math.comb(N - 1, k)), width + 2),
+                    dtype=np.uint8)
     rows[:, width:] = np.frombuffer(b"0\n", dtype=np.uint8)
-    subsets = chain.from_iterable(combinations(range(1, N + 1), size))
+    firsts = np.searchsorted(suffixes[:, 0], np.arange(1, N - k + 1),
+                             side="right")
     emitted = 0
-    while True:
-        block = np.fromiter(islice(subsets, block_rows * size),
-                            dtype=np.intp).reshape(-1, size)
-        if block.shape[0] == 0:
-            return emitted
-        out = rows[:block.shape[0]]
-        out[:, :width] = tokens[var[block[:, p], block[:, q]]].reshape(
-            block.shape[0], width)
-        sink.write(out[out != 0].tobytes().decode("ascii"))
-        emitted += block.shape[0]
+    for i, first in enumerate(firsts.tolist(), start=1):
+        heads = tokens[var[i]]
+        for start in range(first, suffixes.shape[0], block_rows):
+            tail = suffixes[start:start + block_rows]
+            out = rows[:tail.shape[0]]
+            out[:, :head_width] = np.take(heads, tail).view(np.uint8)
+            out[:, head_width:width] = suffix_rows[start:start
+                                                   + tail.shape[0]]
+            sink.write(out[out != 0].tobytes().decode("ascii"))
+            emitted += tail.shape[0]
+    return emitted
 
 
 def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:
@@ -120,7 +148,8 @@ def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:
     Emits the ``p cnf`` header, then the negative-literal clauses of all
     m-subsets in lexicographic order, then the positive-literal clauses of
     all n-subsets.  Clauses go out in blocks of about ``_BLOCK_LITERALS``
-    literals, so memory use is constant in the clause count.
+    literals.  Memory holds one side's table of C(N, size-1) suffix rows
+    and subsets at a time, plus one block.
     """
     instance = CnfInstance.for_problem(N, m, n)
     sink.write(f"p cnf {instance.var_count} {instance.clause_count}\n")

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ramsey_toolkit import (CliqueConstraint, CnfInstance, check_small,
                             edge_var, exists_good_coloring, stream_cnf,
                             write_map)
 from ramsey_toolkit.cli import dispatch
+from ramsey_toolkit.cnf import _BLOCK_LITERALS
 
 
 def parse_dimacs(text: str) -> tuple[tuple[int, int], list[list[int]]]:
@@ -142,6 +144,16 @@ class TestStreaming:
         with pytest.raises(ValueError):
             stream_cnf(5, 1, 3, io.StringIO())
 
+    @pytest.mark.parametrize("N,m,n", [(20, 2, 6), (28, 5, 2)])
+    def test_blocks_within_literal_budget(self, N, m, n):
+        texts = []
+        stream_cnf(N, m, n, SimpleNamespace(write=texts.append))
+        literals = [len(text.split()) - text.count("\n")
+                    for text in texts[1:]]
+        assert sum(literals) == (math.comb(N, m) * math.comb(m, 2)
+                                 + math.comb(N, n) * math.comb(n, 2))
+        assert max(literals) <= _BLOCK_LITERALS
+
     def test_byte_determinism(self):
         first, second = io.StringIO(), io.StringIO()
         stream_cnf(7, 3, 4, first)
@@ -155,12 +167,18 @@ class TestByteOracle:
     # m = 2 gives one-literal clauses; m or n > N gives no clauses of that
     # sign; N = 5, 15, 46 put the largest variable at 10, 105 and 1,035,
     # so token widths change inside one instance; (20, 5, 3) and (20, 2, 6)
-    # span several blocks.
+    # span several blocks.  A clause {i} + S is a head of edges (i, s) and
+    # the suffix row of S: (8, 2, 3) and (8, 3, 2) give suffixes with no
+    # pair and one pair, (8, 8, 9) and (8, 9, 8) one clause of size N and
+    # none of size N + 1, and in (28, 5, 2) first vertex 1 alone has
+    # C(27, 4) = 17,550 suffixes, more than the 13,107 rows of a size-5
+    # block.
     GRID = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 3), (5, 2, 2),
             (5, 2, 3), (5, 3, 2), (5, 3, 4), (5, 6, 3), (5, 3, 6),
             (5, 5, 5), (7, 7, 3), (9, 2, 3), (12, 3, 4), (12, 5, 5),
             (15, 2, 3), (15, 3, 3), (20, 5, 3), (20, 2, 6), (46, 2, 3),
-            (46, 3, 3)]
+            (46, 3, 3), (8, 2, 3), (8, 3, 2), (8, 8, 9), (8, 9, 8),
+            (28, 5, 2)]
 
     @pytest.mark.parametrize("N,m,n", GRID)
     def test_stream_matches_reference_stringio(self, N, m, n):
@@ -184,6 +202,21 @@ class TestByteOracle:
         got, expected = io.StringIO(), io.StringIO()
         assert write_map(N, got) == _reference_map(N, expected)
         assert got.getvalue() == expected.getvalue()
+
+    # SHA-256 of stream_cnf(N, 5, 5) at paper size; N = 32 is also the
+    # benchmark's reference digest.
+    PAPER_DIGESTS = {
+        32: "fcaa0c7b1ace3944fe3b6853dc2601358ad24177b26df4509949e2ba8eaf341b",
+        43: "056b47ea8c89d70dc84b07aee4a6f7488569e682d2e40f29895eb65205dfbf61",
+    }
+
+    @pytest.mark.parametrize("N", sorted(PAPER_DIGESTS))
+    def test_paper_size_digests_pinned(self, N):
+        # Hash each write as it comes, so no 88 MB text is held.
+        digest = hashlib.sha256()
+        stream_cnf(N, 5, 5, SimpleNamespace(
+            write=lambda text: digest.update(text.encode("ascii"))))
+        assert digest.hexdigest() == self.PAPER_DIGESTS[N]
 
     def test_cli_digests_pinned(self, tmp_path):
         target = tmp_path / "r44_N20.cnf"
