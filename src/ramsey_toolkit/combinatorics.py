@@ -7,18 +7,24 @@ clique mask and meet every blue one, dropping dead masks after each clique
 test.  The existence sweep runs it over chunks of edge masks; the glue walk
 runs it over each parent's 2^v new-vertex assignments against the clique
 vertex masks ``_cliques`` yields and stores colourings as red-adjacency
-masks.  The walk grows classes by canonical augmentation: a child is kept
-only when its new vertex is canonical, and most children are rejected by
-degree and colour before any key is computed.  Canonical labelling
+masks, each beside generators of its automorphism group.  The walk grows
+classes by canonical augmentation: a child is kept only when its new vertex
+is canonical, and most children are rejected by degree, by the parent's
+automorphism orbits (one assignment per orbit is tried) and by colour
+before any key is computed.  Every child that passes is then a new class,
+so nothing is deduplicated, and big levels are split over the usable cores
+with a result that does not depend on their number.  Canonical labelling
 refines red-degree colours by counting red neighbours per colour cell, then
 searches for the least ordering one colour cell at a time, branching only
-among tied cell members and trying one of each pair of twins.  The graded
+among tied cell members and trying one of each pair of twins; the search
+also records the automorphism generators the walk carries.  The graded
 Ramsey recursion and qubit budget helpers live here too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -50,6 +56,12 @@ _ENUM_EDGE_BUDGET = 28
 # Canonical labelling cap; the search is exact but has a factorial worst case
 # (large cells of tied, non-twin vertices).
 _CANONICAL_V_BUDGET = 12
+
+# Walk levels with at least this many parents run on every usable core.
+# On a 2-core x86-64 VM, the 71-parent (3,5) level took 43 ms serially and
+# 30 ms on two workers, and starting and stopping the pool costs about
+# 10 ms, so smaller levels gain nothing from it.
+_PARALLEL_MIN_PARENTS = 64
 
 _CHUNK = 1 << 21
 
@@ -269,10 +281,79 @@ def _extend(red, a: int) -> tuple[int, ...]:
     return tuple(r | ((a >> i) & 1) << v for i, r in enumerate(red)) + (a,)
 
 
-def _next_frontier(frontier, constraint: CliqueConstraint) -> list[tuple]:
+def _moves(generators) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Each vertex permutation of ``generators`` (``bytes`` of images) as
+    the mask of the vertices it fixes and the ``(bit, image bit)`` pairs of
+    the vertices it moves."""
+    moves = []
+    for perm in generators:
+        fixed, moved = 0, []
+        for u, w in enumerate(perm):
+            if u == w:
+                fixed |= 1 << u
+            else:
+                moved.append((1 << u, 1 << w))
+        moves.append((fixed, moved))
+    return moves
+
+
+def _orbit(a: int, moves) -> set[int]:
+    """Orbit of the vertex mask ``a`` under the permutations :func:`_moves`
+    describes."""
+    orbit, stack = {a}, [a]
+    while stack:
+        b = stack.pop()
+        for fixed, moved in moves:
+            c = b & fixed
+            for bit, image in moved:
+                if b & bit:
+                    c |= image
+            if c not in orbit:
+                orbit.add(c)
+                stack.append(c)
+    return orbit
+
+
+def _children(parents, constraint: CliqueConstraint) -> list[tuple]:
+    """``(key, red, generators)`` of every kept child of ``parents``, in
+    order of parent and assignment; see :func:`_next_frontier`."""
+    children = []
+    for red, generators in parents:
+        v = len(red)
+        degrees = [r.bit_count() for r in red]
+        least = min(degrees)
+        lowest = sum(1 << u for u, d in enumerate(degrees) if d == least)
+        moves = _moves(generators)
+        seen: set[int] = set()
+        for a in _good_assignments(red, constraint):
+            # Degree k is least iff k <= least, or k == least + 1 and every
+            # vertex of the parent's least degree gains an edge.
+            k = a.bit_count()
+            if k > least and (k > least + 1 or a & lowest != lowest):
+                continue
+            if moves:
+                if a in seen:
+                    continue
+                seen |= _orbit(a, moves)
+            child = _extend(red, a)
+            colors = _refined_colors(child, v + 1, v)
+            if colors[v]:
+                continue
+            found: set[bytes] = set()
+            key = _adjacency_key(child, colors, v, found)
+            if key is not None:
+                children.append((key, child, tuple(sorted(found))))
+    return children
+
+
+def _next_frontier(frontier, constraint: CliqueConstraint, pool=None,
+                   workers: int = 1) -> list[tuple]:
     """Good one-vertex extensions of good colourings, one per canonical
     class, sorted by key.
 
+    The frontier holds ``(red, generators)`` pairs: a colouring's red
+    adjacency masks and generators of its automorphism group, vertex
+    permutations as ``bytes`` of images, empty for a trivial group.
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 1998): a child is kept only when its new vertex lies in
     the orbit of the first vertex of its least ordering, so each class
@@ -281,38 +362,29 @@ def _next_frontier(frontier, constraint: CliqueConstraint) -> list[tuple]:
 
     1. the new vertex must have the least red degree, which masks of the
        parent's degrees decide without building the child;
-    2. it must lie in refined colour cell 0, the cell the least ordering
-       starts with;
-    3. some least ordering must start with it: :func:`_adjacency_key`
+    2. its assignment must be the least of its orbit under the parent's
+       generators: an automorphism of the parent maps the children of one
+       orbit onto each other, new vertex onto new vertex;
+    3. it must lie in refined colour cell 0, the cell the least ordering
+       starts with, and refinement stops once it leaves;
+    4. some least ordering must start with it: :func:`_adjacency_key`
        tries it first and gives up once another start beats it, and
-       otherwise returns the key.
+       otherwise returns the key and the child's generators.
 
     Two kept children are isomorphic only when they share a parent and an
-    automorphism of the parent maps one assignment to the other, so keys
-    are deduplicated per parent, keeping the first child of each.
+    automorphism of the parent maps one assignment to the other, so after
+    test 2 every key is a new class and nothing is deduplicated.  With a
+    ``pool`` of ``workers`` processes, alternate parents go to each worker
+    and the sort by key merges their children, so the frontier does not
+    depend on the number of workers.
     """
-    classes: list[tuple[bytes, tuple[int, ...]]] = []
-    for red in frontier:
-        kept: dict[bytes, tuple[int, ...]] = {}
-        v = len(red)
-        degrees = [r.bit_count() for r in red]
-        least = min(degrees)
-        lowest = sum(1 << u for u, d in enumerate(degrees) if d == least)
-        for a in _good_assignments(red, constraint):
-            # Degree k is least iff k <= least, or k == least + 1 and every
-            # vertex of the parent's least degree gains an edge.
-            k = a.bit_count()
-            if k > least and (k > least + 1 or a & lowest != lowest):
-                continue
-            child = _extend(red, a)
-            colors = _refined_colors(child, v + 1)
-            if colors[v]:
-                continue
-            key = _adjacency_key(child, colors, v)
-            if key is not None:
-                kept.setdefault(key, child)
-        classes += kept.items()
-    return [child for _, child in sorted(classes)]
+    if pool is None:
+        children = _children(frontier, constraint)
+    else:
+        children = [child for part in pool.map(
+            _children, [frontier[i::workers] for i in range(workers)],
+            [constraint] * workers) for child in part]
+    return [(red, generators) for _, red, generators in sorted(children)]
 
 
 def _walk(constraint: CliqueConstraint,
@@ -321,16 +393,38 @@ def _walk(constraint: CliqueConstraint,
 
     Returns the ``(v, count)`` profile, stopping after the first zero.
     Past the canonical labelling budget the :class:`BudgetError` carries
-    the profile of the finished orders.
+    the profile of the finished orders.  Levels of at least
+    ``_PARALLEL_MIN_PARENTS`` parents run on a fork process pool with one
+    worker per usable core, started at the first such level and shut down
+    when the walk ends, however it ends; a worker that dies raises
+    ``BrokenProcessPool``.  With one core or without ``fork`` the walk runs
+    serially.
     """
-    frontier = [] if _has_forbidden((0,), constraint) else [(0,)]
+    frontier = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(frontier))]
-    while frontier and len(profile) < v_max:
-        try:
-            frontier = _next_frontier(frontier, constraint)
-        except BudgetError as exc:
-            raise BudgetError(str(exc), partial=tuple(profile)) from exc
-        profile.append((len(profile) + 1, len(frontier)))
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+             else 1)
+    pool = None
+    try:
+        while frontier and len(profile) < v_max:
+            if (pool is None and cores > 1
+                    and len(frontier) >= _PARALLEL_MIN_PARENTS):
+                # Imported here: the process pool's modules take about
+                # 20 ms to import, which walks of small levels need not pay.
+                # Fork, because a spawned worker would import numpy again.
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+                pool = ProcessPoolExecutor(
+                    cores, multiprocessing.get_context("fork"))
+            try:
+                frontier = _next_frontier(frontier, constraint, pool, cores)
+            except BudgetError as exc:
+                raise BudgetError(str(exc), partial=tuple(profile)) from exc
+            profile.append((len(profile) + 1, len(frontier)))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return tuple(profile)
 
 
@@ -360,7 +454,7 @@ def glue_extensions(coloring: EdgeColoring,
     return [_to_coloring(classes[k]) for k in sorted(classes)]
 
 
-def _refined_colors(red, v: int) -> list[int]:
+def _refined_colors(red, v: int, first: int | None = None) -> list[int]:
     """Equitable-partition colours: red-degree ranks, refined to a fixpoint.
 
     Each pass ranks vertices by their colour and then by the negated count
@@ -368,11 +462,14 @@ def _refined_colors(red, v: int) -> list[int]:
     equal degree, so those counts order them exactly as their sorted lists
     of neighbour colours would; a vertex alone in its cell needs no counts.
     Colour ids are ranks, so they are invariant under vertex relabelling.
+    With ``first``, refinement stops as soon as ``first`` leaves colour 0:
+    cell 0 only shrinks, because the new ids rank signatures that start
+    with the old colour.
     """
     degrees = [r.bit_count() for r in red]
     rank = {d: c for c, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
-    while len(rank) < v:
+    while len(rank) < v and not (first is not None and colors[first]):
         cells = [0] * len(rank)
         for u, c in enumerate(colors):
             cells[c] |= 1 << u
@@ -408,7 +505,8 @@ def canonical_key(coloring: EdgeColoring) -> bytes:
     return _adjacency_key(coloring.red_neighbors())
 
 
-def _adjacency_key(red, colors=None, first=None) -> bytes | None:
+def _adjacency_key(red, colors=None, first=None,
+                   generators=None) -> bytes | None:
     """:func:`canonical_key` of the colouring with red adjacency ``red``.
 
     ``colors`` are its :func:`_refined_colors` when the caller already has
@@ -419,6 +517,13 @@ def _adjacency_key(red, colors=None, first=None) -> bytes | None:
     keys differ by an automorphism, so this asks whether ``first`` lies in
     the orbit of canonical first vertices (McKay & Piperno, "Practical
     graph isomorphism II", JSC 2014).
+
+    With a set ``generators``, the search adds vertex permutations (as
+    ``bytes`` of images) that generate the automorphism group: one for each
+    leaf whose columns equal the least found, mapping that ordering onto
+    this one, and the transposition of each twin it drops.  Every leaf of
+    the full search tree is the image of a visited leaf under these twin
+    swaps, so once a key is returned they are complete.
     """
     v = len(red)
     if v > _CANONICAL_V_BUDGET:
@@ -436,10 +541,11 @@ def _adjacency_key(red, colors=None, first=None) -> bytes | None:
     # Columns of the least ordering found so far; every prefix the search
     # visits is <= its prefix, and equal to it once a leaf below is reached.
     best: list[int] | None = None
+    best_order: list[int] = []
     beaten = False
 
     def search(t: int, remaining: int, order: list[int], cols: list[int]):
-        nonlocal best, beaten
+        nonlocal best, best_order, beaten
         while t < v:
             chunks = []
             members = cells[sequence[t]] & remaining
@@ -467,8 +573,14 @@ def _adjacency_key(red, colors=None, first=None) -> bytes | None:
                 # so the subtree under w repeats the one under u.
                 kept = []
                 for w in tied:
-                    if all((red[u] ^ red[w]) & ~(1 << u | 1 << w)
-                           for u in kept):
+                    for u in kept:
+                        if not (red[u] ^ red[w]) & ~(1 << u | 1 << w):
+                            if generators is not None:
+                                swap = list(range(v))
+                                swap[u], swap[w] = w, u
+                                generators.add(bytes(swap))
+                            break
+                    else:
                         kept.append(w)
                 tied = kept
             cols.append(minimal)
@@ -481,7 +593,13 @@ def _adjacency_key(red, colors=None, first=None) -> bytes | None:
                 return
             order.append(tied[0])
             remaining &= ~(1 << tied[0])
-        best = cols
+        if cols != best:
+            best, best_order = cols, order
+        elif generators is not None:
+            image = [0] * v
+            for u, w in zip(best_order, order):
+                image[u] = w
+            generators.add(bytes(image))
 
     search(0, (1 << v) - 1, [], [])
     if beaten:

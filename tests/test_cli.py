@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -159,6 +160,21 @@ class TestGlue:
         captured = capsys.readouterr()
         assert "threshold reached" not in captured.out
         assert "error:" in captured.err and "v <= 6" in captured.err
+
+    def test_budget_in_worker_keeps_partial_frontier(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # Forked workers inherit the patched budget and cut-off, so the
+        # BudgetError is raised in a worker of every level's pool.
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 10)
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        status = dispatch(["glue", "-m", "3", "-n", "5", "--vmax", "11",
+                           "--out_dir", str(tmp_path)])
+        assert status == 1
+        rows = read_csv(tmp_path / "glue_frontier.csv")
+        assert [row["good_classes"] for row in rows] == [
+            "1", "2", "3", "7", "13", "32", "71", "179", "290", "313"]
+        assert "v <= 10" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_summary_on_stderr(self, tmp_path, capsys, monkeypatch):
         assert dispatch(["glue", "-m", "3", "-n", "3", "--vmax", "8",

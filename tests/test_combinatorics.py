@@ -5,6 +5,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,10 @@ from ramsey_toolkit import (BudgetError, CliqueConstraint, EdgeColoring,
                             has_forbidden_clique, qubit_cost, survivor_rank)
 
 from conftest import coloring_from_red_edges, permute_coloring
+
+
+# A parallel cut-off larger than any frontier: the walk stays serial.
+_NEVER = 1 << 62
 
 
 def oracle_has_clique(coloring: EdgeColoring, size: int, red: bool) -> bool:
@@ -488,6 +496,8 @@ class TestReferenceKey:
 
     @pytest.mark.parametrize("m,n,v_max", [(3, 5, 9), (4, 4, 6)])
     def test_walk_children(self, m, n, v_max, monkeypatch):
+        # Serial walk: keys made in forked workers are not recorded here.
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", _NEVER)
         keyed = []
         key = combinatorics._adjacency_key
 
@@ -536,11 +546,11 @@ class TestReferenceKey:
         assert _assert_first_vertex_orbit(red) in ({0, 1, 2}, {3, 4, 5, 6})
 
     def test_r35_v10_frontier_keys_pinned(self):
-        frontier = [(0,)]
+        frontier = [((0,), ())]
         for _ in range(9):
             frontier = combinatorics._next_frontier(
                 frontier, CliqueConstraint(3, 5))
-        keys = sorted(map(combinatorics._adjacency_key, frontier))
+        keys = sorted(combinatorics._adjacency_key(red) for red, _ in frontier)
         assert len(keys) == 313
         assert hashlib.sha256(b"".join(keys)).hexdigest() == (
             "b49c95bd265f020e876dacfacc550f20"
@@ -612,11 +622,12 @@ class TestGlue:
         # Representatives are the first children the walk accepts, not the
         # oracle's first children, so the two are compared by their keys.
         constraint = CliqueConstraint(m, n)
-        frontier = [(0,)]
-        while frontier and len(frontier[0]) < v_max:
-            expected = _reference_next_frontier(frontier, constraint)
+        frontier = [((0,), ())]
+        while frontier and len(frontier[0][0]) < v_max:
+            expected = _reference_next_frontier([red for red, _ in frontier],
+                                                constraint)
             frontier = combinatorics._next_frontier(frontier, constraint)
-            keys = [combinatorics._adjacency_key(red) for red in frontier]
+            keys = [combinatorics._adjacency_key(red) for red, _ in frontier]
             assert len(set(keys)) == len(keys)
             assert keys == [combinatorics._adjacency_key(red)
                             for red in expected]
@@ -630,11 +641,11 @@ class TestGlue:
     def test_frontier_digest(self, m, n, v, count, digest):
         # SHA-256 of the frontier's sorted canonical keys, as walked by the
         # per-child keying that canonical augmentation replaced.
-        frontier = [(0,)]
+        frontier = [((0,), ())]
         for _ in range(v - 1):
             frontier = combinatorics._next_frontier(
                 frontier, CliqueConstraint(m, n))
-        keys = sorted(map(combinatorics._adjacency_key, frontier))
+        keys = sorted(combinatorics._adjacency_key(red) for red, _ in frontier)
         assert len(keys) == count
         assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
 
@@ -668,6 +679,190 @@ class TestGlue:
                     keys.add(canonical_key(coloring))
             profile = dict(frontier_profile(constraint, v))
             assert profile[v] == len(keys)
+
+
+def _automorphisms(red) -> list[tuple[int, ...]]:
+    """Every vertex permutation that preserves the red adjacency."""
+    v = len(red)
+    return [perm for perm in itertools.permutations(range(v))
+            if all((red[perm[u]] >> perm[w] & 1) == (red[u] >> w & 1)
+                   for u in range(v) for w in range(u + 1, v))]
+
+
+def _subset_orbits(v: int, images) -> set[frozenset]:
+    """Orbits of the vertex masks of 0..v-1 under the permutations
+    ``images`` (each a sequence of images), closed under composition."""
+    orbits, seen = set(), set()
+    for a in range(1 << v):
+        if a in seen:
+            continue
+        orbit, stack = {a}, [a]
+        while stack:
+            b = stack.pop()
+            for perm in images:
+                c = sum(1 << perm[u] for u in range(v) if b >> u & 1)
+                if c not in orbit:
+                    orbit.add(c)
+                    stack.append(c)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _assert_generators_complete(red):
+    """The generators recorded by the key search, with no start vertex and
+    with each accepted one, give the brute-force orbits on vertex subsets."""
+    v = len(red)
+    expected = _subset_orbits(v, _automorphisms(red))
+    colors = combinatorics._refined_colors(red, v)
+    for first in [None] + [u for u in range(v) if colors[u] == 0]:
+        generators = set()
+        key = combinatorics._adjacency_key(red, colors, first, generators)
+        if key is None:
+            continue
+        auts = set(_automorphisms(red))
+        assert all(tuple(perm) in auts for perm in generators)
+        moves = combinatorics._moves(generators)
+        assert {frozenset(combinatorics._orbit(a, moves))
+                for a in range(1 << v)} == expected
+
+
+class TestOrbitPruning:
+    """Automorphism generators from the key search prune the walk."""
+
+    @given(st.integers(min_value=1, max_value=7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generators_complete_on_random_colourings(self, v, data):
+        pairs = list(itertools.combinations(range(1, v + 1), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs
+                          else st.just(set()), label="edges")
+        _assert_generators_complete(
+            coloring_from_red_edges(v, edges).red_neighbors())
+
+    @pytest.mark.parametrize("edges", [
+        [], [(1, 2), (3, 4), (5, 6)],
+        [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]],
+        ids=["empty_k6", "red_matching", "red_k33"])
+    def test_generators_complete_on_twin_heavy_colourings(self, edges):
+        red = coloring_from_red_edges(6, edges).red_neighbors()
+        _assert_generators_complete(red)
+        _assert_generators_complete(combinatorics._blue(red))
+
+    def test_trivial_group_has_no_generators(self):
+        # A red path 1-2-3-4-5 with a triangle 2-3-6 has no symmetry.
+        generators = set()
+        red = coloring_from_red_edges(
+            6, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (3, 6)]).red_neighbors()
+        assert _automorphisms(red) == [tuple(range(6))]
+        combinatorics._adjacency_key(red, None, None, generators)
+        assert generators == set()
+
+    def test_every_accepted_key_is_a_new_class(self, monkeypatch):
+        # Serial walk, so the wrapper sees every key in this process.
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", _NEVER)
+        accepted = []
+        key = combinatorics._adjacency_key
+
+        def counting_key(red, *args):
+            out = key(red, *args)
+            if out is not None:
+                accepted.append(out)
+            return out
+
+        monkeypatch.setattr(combinatorics, "_adjacency_key", counting_key)
+        profile = frontier_profile(CliqueConstraint(3, 5), 10)
+        assert len(set(accepted)) == len(accepted) == 910
+        assert sum(count for _, count in profile[1:]) == 910
+
+    @given(st.integers(min_value=2, max_value=9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_refinement_early_exit(self, v, data):
+        pairs = list(itertools.combinations(range(1, v + 1), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges")
+        red = coloring_from_red_edges(v, edges).red_neighbors()
+        first = data.draw(st.integers(min_value=0, max_value=v - 1),
+                          label="first")
+        full = combinatorics._refined_colors(red, v)
+        early = combinatorics._refined_colors(red, v, first)
+        assert (early[first] == 0) == (full[first] == 0)
+        if full[first] == 0:
+            assert early == full
+
+
+_R35_V10 = ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71),
+            (8, 179), (9, 290), (10, 313))
+
+
+class TestParallelWalk:
+    """Big levels run on a fork pool; the output must not show it."""
+
+    @pytest.mark.parametrize("m,n,v_max,final", [
+        (3, 5, 12, (12, 12)), (4, 4, 8, (8, 2079))],
+        ids=["r35_v12", "r44_v8"])
+    def test_parallel_matches_serial(self, m, n, v_max, final, monkeypatch):
+        next_frontier = combinatorics._next_frontier
+        levels = {}
+        for cutoff in (0, _NEVER):
+            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS",
+                                cutoff)
+            recorded = []
+
+            def recording(frontier, constraint, pool=None, workers=1):
+                out = next_frontier(frontier, constraint, pool, workers)
+                recorded.append((pool is not None, out))
+                return out
+
+            monkeypatch.setattr(combinatorics, "_next_frontier", recording)
+            profile = frontier_profile(CliqueConstraint(m, n), v_max)
+            assert profile[-1] == final
+            assert multiprocessing.active_children() == []
+            levels[cutoff] = recorded
+        pooled = len(os.sched_getaffinity(0)) > 1
+        assert all(used == pooled for used, _ in levels[0])
+        assert not any(used for used, _ in levels[_NEVER])
+        # Representatives with their generators, not only their keys.
+        assert [out for _, out in levels[0]] == \
+            [out for _, out in levels[_NEVER]]
+
+    def test_budget_error_in_worker(self, monkeypatch):
+        # Forked workers inherit the patched budget, so at the cut-off 0
+        # the v=11 children raise inside the workers.
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 10)
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        with pytest.raises(BudgetError) as info:
+            frontier_profile(CliqueConstraint(3, 5), 11)
+        assert info.value.partial == _R35_V10
+        assert multiprocessing.active_children() == []
+        if len(os.sched_getaffinity(0)) > 1:
+            # The pool chains the worker's traceback as the cause.
+            assert "in _children" in str(info.value.__cause__.__cause__)
+
+    def test_dead_worker_raises(self):
+        # A worker that exits mid-level must fail the walk, not hang it;
+        # run in a child interpreter so a hang is cut off by the timeout.
+        script = """
+import multiprocessing, os
+from concurrent.futures.process import BrokenProcessPool
+from ramsey_toolkit import CliqueConstraint, combinatorics, frontier_profile
+
+class ExitsInWorker(CliqueConstraint):
+    def __getattribute__(self, name):
+        if name == "m" and os.getpid() != MAIN:
+            os._exit(3)
+        return super().__getattribute__(name)
+
+MAIN = os.getpid()
+combinatorics._PARALLEL_MIN_PARENTS = 0
+try:
+    print(frontier_profile(ExitsInWorker(3, 5), 8)[-1])
+except BrokenProcessPool:
+    print("broken", multiprocessing.active_children())
+"""
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        pooled = len(os.sched_getaffinity(0)) > 1
+        assert result.stdout == ("broken []\n" if pooled else "(8, 179)\n")
 
 
 class TestGraded:
