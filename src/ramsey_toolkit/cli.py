@@ -131,7 +131,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
             errors.append(f"control v={coloring.v}: {control.error}")
     elapsed = time.perf_counter() - start
     # Run summary on stderr, so no artifact depends on the clock.
-    print(f"diag: {len(args.n)} orders x {len(sweep.seeds)} seeds at "
+    print(f"diag: {len(records)} orders x {len(sweep.seeds)} seeds at "
           f"d={sweep.d}, k={sweep.k}, {len(errors)} failed in {elapsed:.2f} s",
           file=sys.stderr)
     for line in errors:

@@ -9,6 +9,9 @@ of rank r shows up as Tr exp(-alpha A) >= r at every alpha, which is what
 the criticality decision exploits.  The accumulator is symmetric PSD, so
 its top eigenvalue is its spectral norm rho_H; the sweep takes that, the
 exponential witness and lambda_L from one eigendecomposition per seed.
+The deflation product is built in blocks of d directions, each block a
+compact WY factor I - W^T Y (Schreiber & Van Loan 1989), so an order costs
+about k/d + d stacked matrix products instead of k rank-1 steps.
 
 All randomness flows from explicit integer seeds; records are pure
 functions of (configuration, n).
@@ -199,6 +202,8 @@ def linear_witness(batch: DirectionBatch) -> tuple[float, float, float]:
 
     Computes P = (I - v_1 v_1^T)(I - v_2 v_2^T) ... in index order; the
     product is not symmetric, so the full non-Hermitian spectrum is taken.
+    P is built in blocks of d directions (see ``_deflation_products``),
+    which agrees with the direction-by-direction product to rounding.
     Returns (trace, min real part, max |imaginary part|); the empty batch
     yields (d, 1, 0) from P = I.
     """
@@ -210,17 +215,45 @@ def _deflation_witnesses(vectors: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """linear_witness for a (S, k, d) stack of batches, all S at once.
 
-    The S products advance together, one Python step per direction.
+    The S products come from ``_deflation_products`` in blocks of d
+    directions; one stacked eigvals call then gives every spectrum.
     """
-    stack, k, d = vectors.shape
-    p = np.tile(np.eye(d), (stack, 1, 1))
-    for j in range(k):
-        v = vectors[:, j, :]
-        p -= (p @ v[:, :, None]) * v[:, None, :]
+    p = _deflation_products(vectors)
     eigenvalues = np.linalg.eigvals(p)
     return (np.trace(p, axis1=1, axis2=2),
             eigenvalues.real.min(axis=1),
             np.abs(eigenvalues.imag).max(axis=1))
+
+
+def _deflation_products(vectors: np.ndarray) -> np.ndarray:
+    """The ordered products prod_j (I - v_j v_j^T) of a (S, k, d) stack.
+
+    The k directions are cut into blocks Y of d rows; the last block is
+    padded with zero rows, each an exact identity factor.  A block's
+    product is I - W^T Y, where row w_j is the partial product of the
+    block's first j - 1 factors applied to y_j:
+    w_j = y_j - sum_{i<j} (y_j . y_i) w_i.  This is the compact WY form of
+    a product of Householder-type factors (Schreiber & Van Loan, SIAM J.
+    Sci. Stat. Comput. 10, 1989; Joffrain et al., ACM TOMS 32, 2006).  The
+    Gram matrices of all blocks of all S batches come from one stacked
+    matmul, the recurrence takes d - 1 steps across all of them, and the
+    blocks are folded into P in order, P <- P - (P W^T) Y, one step per
+    block.  Beside P this holds Y, W and the Gram matrices, about
+    3 S ceil(k / d) d^2, that is O(S k d), doubles.
+    """
+    stack, k, d = vectors.shape
+    blocks = -(-k // d)
+    y = np.zeros((stack, blocks * d, d))
+    y[:, :k] = vectors
+    y = y.reshape(stack, blocks, d, d)
+    gram = y @ y.transpose(0, 1, 3, 2)
+    w = y.copy()
+    for j in range(1, d):
+        w[:, :, j] -= (gram[:, :, None, j, :j] @ w[:, :, :j])[:, :, 0]
+    p = np.tile(np.eye(d), (stack, 1, 1))
+    for block in range(blocks):
+        p -= (p @ w[:, block].transpose(0, 2, 1)) @ y[:, block]
+    return p
 
 
 def _hermitian_eigenvalues(A) -> np.ndarray:
@@ -414,9 +447,12 @@ def _compute_record(config: DiagnosticsConfig, n: int,
     All of the order's batches are drawn first and their accumulators are
     solved in one stacked eigvalsh call.  The accumulator is symmetric PSD,
     so its top eigenvalue is its spectral norm: that is rho_H.  The
-    exponential witness and lambda_L come from the same eigenvalues, and the
-    deflation products of all seeds are built together.  Seed means are
-    summed in seed order, which keeps the CSV cells byte-stable.
+    exponential witness at every (seed, alpha) pair comes from the same
+    eigenvalues in one stacked log-trace pass, as does lambda_L.  The
+    deflation products of all seeds are built together in blocks of d
+    directions (compact WY form, see ``_deflation_products``), which holds
+    O(S k d) doubles for the S seeds beside the products themselves.  Seed
+    means are summed in seed order, which keeps the CSV cells byte-stable.
     """
     grid = config.alpha_grid
     alpha_decision = grid[-1]
@@ -424,9 +460,7 @@ def _compute_record(config: DiagnosticsConfig, n: int,
                for seed in config.seeds]
     eigenvalues = np.linalg.eigvalsh(
         np.stack([build_accumulator(batch) for batch in batches]))
-    per_alpha = _seed_mean(np.array(
-        [[spectral.log_trace_exp(lam, alpha) for alpha in grid]
-         for lam in eigenvalues]))
+    per_alpha = _seed_mean(spectral.log_trace_exp_grid(eigenvalues, grid))
     tr_lin, min_re, max_im = (
         float(_seed_mean(values)) for values in
         _deflation_witnesses(np.stack([batch.vectors for batch in batches])))

@@ -23,6 +23,7 @@ __all__ = [
     "dilation_spectrum",
     "spectral_norm",
     "log_trace_exp",
+    "log_trace_exp_grid",
 ]
 
 # Smallest tolerance the Pade-13 scaling-and-squaring kernel can honour in
@@ -230,18 +231,33 @@ def log_trace_exp(eigenvalues, alpha: float) -> float:
     Works entirely in the log domain so traces as small as 1e-10000 are
     representable.  For Hermitian positive semidefinite input the sum is a
     positive real and the returned value is exact up to rounding; for
-    complex spectra the magnitude of the (complex) sum is reported.
+    complex spectra the magnitude of the (complex) sum is reported.  This
+    is the one-spectrum, one-alpha case of :func:`log_trace_exp_grid`.
     """
     lam = np.asarray(eigenvalues, dtype=np.complex128).ravel()
-    if lam.size == 0:
+    return float(log_trace_exp_grid(lam, (alpha,))[0])
+
+
+def log_trace_exp_grid(spectra, alphas) -> np.ndarray:
+    """:func:`log_trace_exp` for a stack of spectra at a grid of alphas.
+
+    ``spectra`` has shape (..., n), one spectrum per leading index, and
+    the result has shape (..., len(alphas)).  Each entry is computed with
+    the same operations as a single call, so the stacked pass and a loop
+    of single calls agree bit for bit.  A sum that underflows to zero
+    gives ``-inf``.
+    """
+    lam = np.asarray(spectra, dtype=np.complex128)
+    grid = np.asarray(alphas, dtype=np.float64)
+    if lam.ndim == 0 or lam.shape[-1] == 0:
         raise ValueError("eigenvalues must be non-empty")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    exponents = -alpha * lam
-    shift = float(np.max(exponents.real))
-    scaled = np.exp(exponents - shift)
-    total = complex(np.sum(scaled))
-    magnitude = abs(total)
-    if magnitude == 0.0:
-        return float("-inf")
-    return (shift + math.log(magnitude)) / math.log(10.0)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("alphas must be a non-empty 1-D sequence")
+    if grid.min() < 0.0:
+        raise ValueError(f"alpha must be >= 0, got {grid.min()}")
+    exponents = -grid[:, None] * lam[..., None, :]
+    shift = exponents.real.max(axis=-1)
+    scaled = np.exp(exponents - shift[..., None])
+    magnitude = np.abs(scaled.sum(axis=-1))
+    with np.errstate(divide="ignore"):
+        return (shift + np.log(magnitude)) / math.log(10.0)

@@ -97,6 +97,18 @@ class TestDiag:
             summary)
         assert error == "error: n=5: LinAlgError: no convergence"
 
+    def test_summary_counts_distinct_orders(self, tmp_path, capsys):
+        # The sweep drops repeated orders, so the summary counts records.
+        assert dispatch(["diag", "--d", "8", "--k", "20",
+                         "--n", "5", "5", "6",
+                         "--out_dir", str(tmp_path)]) == 0
+        assert re.fullmatch(
+            r"diag: 2 orders x 10 seeds at d=8, k=20, 0 failed "
+            r"in \d+\.\d\d s\n",
+            capsys.readouterr().err)
+        rows = read_csv(tmp_path / "results_table_I.csv")
+        assert [row["n"] for row in rows] == ["5", "6"]
+
     def test_byte_determinism(self, tmp_path):
         args = ["diag", "--d", "8", "--k", "12", "--alpha", "1.0", "3.0",
                 "--seed", "5", "7", "--n", "3", "4", "5"]

@@ -13,7 +13,8 @@ from ramsey_toolkit import (ConstraintRestricted, DecisionThresholds,
                             MissProbabilityModel, SeedSchedule,
                             build_accumulator, chernoff_miss, control_record,
                             decide_critical, deflation_mc,
-                            deflation_probability, exp_witness, linear_witness,
+                            deflation_probability, diagnostics, exp_witness,
+                            format_value, linear_witness,
                             load_control_coloring, lyapunov_rate,
                             mean_field_trace, miss_probability,
                             run_diagnostics, sample_directions, slope_fit,
@@ -227,6 +228,83 @@ def _expm_oracle(m: np.ndarray) -> np.ndarray:
     return vectors @ np.diag(np.exp(eigenvalues)) @ vectors.conj().T
 
 
+def _reference_deflation(vectors: np.ndarray) -> np.ndarray:
+    """The ordered products of a (S, k, d) stack, one direction at a time."""
+    stack, k, d = vectors.shape
+    p = np.tile(np.eye(d), (stack, 1, 1))
+    for j in range(k):
+        v = vectors[:, j, :]
+        p -= (p @ v[:, :, None]) * v[:, None, :]
+    return p
+
+
+def _reference_witnesses(vectors: np.ndarray):
+    p = _reference_deflation(vectors)
+    eigenvalues = np.linalg.eigvals(p)
+    return (np.trace(p, axis1=1, axis2=2), eigenvalues.real.min(axis=1),
+            np.abs(eigenvalues.imag).max(axis=1))
+
+
+@st.composite
+def _direction_counts(draw):
+    """(d, k) with k empty, short of one block, whole blocks or ragged."""
+    d = draw(st.integers(min_value=2, max_value=30))
+    shape = draw(st.sampled_from(("empty", "short", "whole", "ragged")))
+    if shape == "empty":
+        return d, 0
+    if shape == "short":
+        return d, draw(st.integers(min_value=1, max_value=d - 1))
+    blocks = draw(st.integers(min_value=1, max_value=4))
+    if shape == "whole":
+        return d, blocks * d
+    return d, blocks * d + draw(st.integers(min_value=1, max_value=d - 1))
+
+
+class TestBlockedDeflation:
+    """The blocked product against the direction-by-direction loop."""
+
+    @pytest.mark.parametrize("stack", [1, 3])
+    @pytest.mark.parametrize("restricted", [False, True])
+    @given(counts=_direction_counts(), seed=st.integers(0, 2**32 - 1),
+           rank_draw=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop(self, stack, restricted, counts, seed, rank_draw):
+        d, k = counts
+        rank = rank_draw % d if restricted else 0
+        embedding = (ConstraintRestricted({7: rank}) if restricted
+                     else SeedSchedule())
+        if k == 0:
+            vectors = np.zeros((stack, 0, d))
+        else:
+            vectors = np.stack([embedding.batch(d, k, seed + s, 7).vectors
+                                for s in range(stack)])
+        blocked = diagnostics._deflation_products(vectors)
+        np.testing.assert_allclose(blocked, _reference_deflation(vectors),
+                                   rtol=1e-9, atol=1e-12)
+        for got, want in zip(diagnostics._deflation_witnesses(vectors),
+                             _reference_witnesses(vectors)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        # Zeroed coordinates are untouched by every factor, padding included.
+        identity = np.eye(d)[:rank]
+        assert np.array_equal(blocked[:, :rank, :],
+                              np.broadcast_to(identity, (stack, rank, d)))
+        assert np.array_equal(blocked[:, :, :rank],
+                              np.broadcast_to(identity.T, (stack, d, rank)))
+
+    def test_paper_size_seed_means_match_loop_cells(self):
+        config = DiagnosticsConfig(d=24, k=400)
+        schedule = SeedSchedule()
+        for record in run_diagnostics(config, (43, 44, 45, 46)):
+            vectors = np.stack([
+                schedule.batch(config.d, config.k, seed, record.n).vectors
+                for seed in config.seeds])
+            want = [format_value(float(diagnostics._seed_mean(values)))
+                    for values in _reference_witnesses(vectors)]
+            got = [format_value(value) for value in
+                   (record.tr_lin, record.min_re, record.max_im)]
+            assert got == want
+
+
 class TestEmbeddings:
     def test_seed_schedule_varies_with_n(self):
         emb = SeedSchedule()
@@ -320,13 +398,9 @@ class TestRunDiagnostics:
 
     def test_linear_witness_matches_loop_reference(self):
         batch = sample_directions(10, 40, 21)
-        p = np.eye(10)
-        for v in batch.vectors:
-            p -= np.outer(p @ v, v)
-        eigenvalues = np.linalg.eigvals(p)
+        trace, min_re, max_im = _reference_witnesses(batch.vectors[None])
         assert linear_witness(batch) == pytest.approx(
-            (np.trace(p), eigenvalues.real.min(),
-             np.abs(eigenvalues.imag).max()), rel=1e-9, abs=1e-15)
+            (trace[0], min_re[0], max_im[0]), rel=1e-9, abs=1e-15)
 
     def test_numerical_failure_is_carried_on_the_record(self):
         class FailsAtFive(SeedSchedule):

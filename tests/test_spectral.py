@@ -10,6 +10,7 @@ from ramsey_toolkit import (DiagnosticsConfig, PowerIterationError,
                             SeedSchedule, build_accumulator,
                             dilation_spectrum, eig_general, log_trace_exp,
                             mat_exp, spectral_norm)
+from ramsey_toolkit.spectral import log_trace_exp_grid
 
 
 def random_diagonalizable(rng, d: int, complex_valued: bool = False):
@@ -214,3 +215,48 @@ class TestLogTraceExp:
             log_trace_exp([], 1.0)
         with pytest.raises(ValueError):
             log_trace_exp([1.0], -0.5)
+
+
+class TestLogTraceExpGrid:
+    """The stacked pass against a loop of single log_trace_exp calls."""
+
+    @staticmethod
+    def _assert_matches_calls(spectra, alphas):
+        grid = log_trace_exp_grid(spectra, alphas)
+        calls = np.array([[log_trace_exp(lam, alpha) for alpha in alphas]
+                          for lam in spectra])
+        assert grid.shape == calls.shape
+        assert (grid == calls).all()
+        return grid
+
+    def test_psd_spectra(self):
+        config = DiagnosticsConfig(d=24, k=400)
+        schedule = SeedSchedule()
+        spectra = np.linalg.eigvalsh(np.stack([
+            build_accumulator(schedule.batch(24, 400, seed, n))
+            for seed in config.seeds for n in (43, 46)]))
+        self._assert_matches_calls(spectra, (0.0, *config.alpha_grid, 300.0))
+
+    def test_complex_spectra(self):
+        rng = np.random.default_rng(17)
+        spectra = np.linalg.eigvals(rng.normal(size=(6, 9, 9)))
+        assert np.abs(spectra.imag).max() > 0.1
+        self._assert_matches_calls(spectra, (0.0, 0.3, 1.0, 2.5, 40.0))
+
+    def test_sum_underflowing_to_minus_infinity(self):
+        # At alpha = 1 the four terms are 1, 1, e^{i pi} and e^{-i pi}, whose
+        # rounded values cancel exactly; other alphas leave a finite sum.
+        spectra = np.array([[0.0, 0.0, -1j * np.pi, 1j * np.pi],
+                            [0.0, 1.0, 2.0, 3.0]])
+        grid = self._assert_matches_calls(spectra, (0.5, 1.0, 2.0))
+        assert grid[0, 1] == float("-inf")
+        assert np.isfinite(np.delete(grid, 1, axis=1)).all()
+        assert np.isfinite(grid[1]).all()
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            log_trace_exp_grid(np.zeros((3, 0)), (1.0,))
+        with pytest.raises(ValueError):
+            log_trace_exp_grid([[1.0, 2.0]], ())
+        with pytest.raises(ValueError):
+            log_trace_exp_grid([[1.0, 2.0]], (1.0, -0.5))
