@@ -180,10 +180,10 @@ def write_map(N: int, sink: TextIO) -> int:
 def check_small(N: int, m: int, n: int) -> bool:
     """Exhaustive satisfiability of the instance for small N.
 
-    Runs the combinatorics module's bitmask sweep, which answers whether
-    some edge assignment satisfies all clauses: by construction the same
-    question as the existence of a colouring of K_N with no red K_m and no
-    blue K_n.  Requires ``C(N, 2) <= 28``.
+    Runs the combinatorics module's row-by-row enumeration sweep, which
+    answers whether some edge assignment satisfies all clauses: by
+    construction the same question as the existence of a colouring of K_N
+    with no red K_m and no blue K_n.  Requires ``C(N, 2) <= 28``.
     """
     instance = CnfInstance.for_problem(N, m, n)
     if instance.var_count > _ENUM_EDGE_BUDGET:

@@ -4,20 +4,22 @@ Public two-colourings of complete graphs are bit vectors over the
 row-major upper triangle (true = red).  One clique kernel serves both
 exact routes: ``_avoiding`` returns the ``uint32`` masks that contain no red
 clique mask and meet every blue one, dropping dead masks after each clique
-test.  The existence sweep runs it over chunks of edge masks; the glue walk
-runs it over each parent's 2^v new-vertex assignments against the clique
-vertex masks ``_cliques`` yields and stores colourings as red-adjacency
-masks, each beside generators of its automorphism group.  The walk grows
-classes by canonical augmentation: a child is kept only when its new vertex
-is canonical, and most children are rejected by degree, by the parent's
-automorphism orbits (one assignment per orbit is tried) and by colour
-before any key is computed.  Every child that passes is then a new class,
-so nothing is deduplicated, and big levels are split over the usable cores
-with a result that does not depend on their number.  Canonical labelling
-refines red-degree colours by counting red neighbours per colour cell, then
-searches for the least ordering one colour cell at a time, branching only
-among tied cell members and trying one of each pair of twins; the search
-also records the automorphism generators the walk carries.  The graded
+test.  The existence sweep runs it depth-first over labelled colourings
+grown one vertex row at a time, against the cliques through each new row's
+vertex.  The glue walk runs it over each parent's 2^v new-vertex
+assignments against the clique vertex masks ``_cliques`` yields and stores
+colourings as red-adjacency masks, each beside generators of its
+automorphism group.  The walk grows classes by canonical augmentation: a
+child is kept only when its new vertex is canonical, and most children
+are rejected by degree, by the parent's automorphism orbits (one
+assignment per orbit is tried) and by colour before any key is computed.
+Every child that passes is then a new class, so nothing is deduplicated,
+and big levels are split over the usable cores with a result that does
+not depend on their number.  Canonical labelling refines red-degree
+colours by counting red neighbours per colour cell, then searches for the
+least ordering one colour cell at a time, branching only among tied cell
+members and trying one of each pair of twins; the search also records the
+automorphism generators the walk carries.  The graded
 Ramsey recursion and qubit budget helpers live here too.
 """
 
@@ -47,10 +49,10 @@ __all__ = [
     "survivor_rank",
 ]
 
-# Direct enumeration cap: edge counts above this would overflow the chunked
-# bitmask sweep; callers must take the glue-and-prune route instead.  The
-# clique kernel holds masks as uint32, so this budget and the walk's parent
-# orders (below _CANONICAL_V_BUDGET) must both stay at most 32 bits.
+# Direct enumeration cap (v <= 8): the clique kernel holds masks as uint32,
+# so a swept colouring's edge count and the walk's parent orders (below
+# _CANONICAL_V_BUDGET) must both stay at most 32 bits.  Past it, callers
+# take the glue-and-prune route instead.
 _ENUM_EDGE_BUDGET = 28
 
 # Canonical labelling cap; the search is exact but has a factorial worst case
@@ -63,7 +65,11 @@ _CANONICAL_V_BUDGET = 12
 # 10 ms, so smaller levels gain nothing from it.
 _PARALLEL_MIN_PARENTS = 64
 
-_CHUNK = 1 << 21
+# Most candidates the enumeration sweep hands the clique kernel at once.
+# Small pieces let a satisfiable sweep reach row 1 after a few calls: at
+# v = 8 on a 2-core x86-64 VM, a good colouring turned up in about 1 ms
+# with pieces of 2^12 masks and in 2-9 ms with pieces of 2^14 to 2^16.
+_CHUNK = 1 << 12
 
 
 class BudgetError(RuntimeError):
@@ -202,51 +208,63 @@ def has_forbidden_clique(coloring: EdgeColoring,
     return _has_forbidden(coloring.red_neighbors(), constraint)
 
 
-def _subset_edge_masks(v: int, size: int) -> list[int]:
+def _subset_edge_masks(v: int, size: int, i: int) -> list[int]:
+    """Edge masks of the ``size``-cliques of {i..v} that contain vertex i,
+    in lexicographic order; size 1 gives the single empty mask."""
     masks = []
-    for subset in combinations(range(1, v + 1), size):
+    for rest in combinations(range(i + 1, v + 1), size - 1):
         m = 0
-        for a, b in combinations(subset, 2):
+        for a, b in combinations((i, *rest), 2):
             m |= 1 << edge_index(a, b, v)
         masks.append(m)
     return masks
 
 
 def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
-    """Chunked bitmask sweep for a good colouring on v vertices.
+    """Depth-first sweep of the labelled colourings of K_v, one vertex row
+    at a time.
 
-    Only masks with edge {1, 2} red are scanned: a good colouring with any
-    red edge can be relabelled to put that edge first, and goodness is
-    label-invariant.  The all-blue colouring is the single remaining case
-    and is checked directly.  Each chunk of ``uint32`` edge masks goes
-    through :func:`_avoiding`, which compacts it to its survivors after
-    every clique test, so a chunk costs little once its first few red
-    cliques have killed most of its masks.
+    In the row-major edge order the edges (i, j), j > i, of vertex i are
+    a run of v - i bits, and the edges among vertices i..v are every bit
+    from row i upward.  Starting from the empty colouring of {v}, stage i
+    ORs each surviving ``uint32`` mask with all 2^(v-i) assignments of row
+    i and keeps, through :func:`_avoiding`, those with no red m-clique and
+    no blue n-clique through vertex i; cliques inside {i+1..v} were tested
+    at an earlier stage.  Survivors go on to the next row in pieces of at
+    most ``_CHUNK`` candidates, so the sweep returns at the first survivor
+    of row 1 and is False once every branch has emptied.
     """
     e = v * (v - 1) // 2
     if e > _ENUM_EDGE_BUDGET:
         raise BudgetError(
             f"enumeration needs 2^{e} masks, budget is 2^{_ENUM_EDGE_BUDGET}",
             partial=None)
-    if not _has_forbidden((0,) * v, constraint):
-        return True
-    if e == 0:
-        return False
-    red_edge_masks = _subset_edge_masks(v, constraint.m)
-    blue_edge_masks = _subset_edge_masks(v, constraint.n)
-    total = 1 << e
-    for start in range(1, total, 2 * _CHUNK):
-        arr = np.arange(start, min(start + 2 * _CHUNK, total), 2, np.uint32)
-        if _avoiding(arr, red_edge_masks, blue_edge_masks).size:
-            return True
-    return False
+    stages = [(np.arange(1 << (v - i), dtype=np.uint32)
+               << np.uint32(e - (v - i + 1) * (v - i) // 2),
+               _subset_edge_masks(v, constraint.m, i),
+               _subset_edge_masks(v, constraint.n, i))
+              for i in range(v, 0, -1)]
+
+    def sweep(stage: int, survivors: np.ndarray) -> bool:
+        if stage == v:
+            return survivors.size > 0
+        rows, red, blue = stages[stage]
+        step = _CHUNK >> stage
+        return any(
+            sweep(stage + 1,
+                  _avoiding((survivors[start:start + step, None]
+                             | rows).ravel(), red, blue))
+            for start in range(0, survivors.size, step))
+
+    return sweep(0, np.zeros(1, dtype=np.uint32))
 
 
 def exists_good_coloring(v: int, constraint: CliqueConstraint,
                          mode: str = "auto") -> bool:
     """Whether some colouring of K_v avoids red K_m and blue K_n.
 
-    ``mode="enumerate"`` forces the bitmask sweep (edge budget 28);
+    ``mode="enumerate"`` forces the exhaustive sweep of labelled
+    colourings, row by row (edge budget 28, so v <= 8);
     ``mode="glue"`` walks the canonical frontier from a single vertex;
     ``mode="auto"`` uses the sweep inside the budget and glue beyond.
     """
@@ -618,7 +636,8 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
     ``mode="enumerate"`` insists on the bitmask sweep at every order and
     raises :class:`BudgetError` (carrying the largest verified order) once
     the edge budget is exceeded.  The default walks the glue-and-prune
-    frontier, cross-checking against enumeration while the sweep is cheap.
+    frontier and checks every order inside the edge budget against the
+    sweep.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
@@ -640,7 +659,7 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
     profile = _walk(constraint, v_max)
     if mode == "auto":
         for v, count in profile[1:]:
-            if (v * (v - 1) // 2 <= 15
+            if (v * (v - 1) // 2 <= _ENUM_EDGE_BUDGET
                     and _enumerate_exists(v, constraint) != (count > 0)):
                 raise RuntimeError(
                     f"frontier and enumeration disagree at v={v}")

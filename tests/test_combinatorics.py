@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from ramsey_toolkit import combinatorics
 from ramsey_toolkit import (BudgetError, CliqueConstraint, EdgeColoring,
-                            brute_force_ramsey, canonical_key, edge_index,
-                            exists_good_coloring, frontier_profile,
+                            brute_force_ramsey, canonical_key, check_small,
+                            edge_index, exists_good_coloring, frontier_profile,
                             glue_extensions, graded_ramsey,
                             has_forbidden_clique, qubit_cost, survivor_rank)
 
@@ -96,6 +96,35 @@ def _reference_avoiding(masks, inside, meet):
         if not good.any():
             break
     return good
+
+
+def _reference_exists(v: int, constraint) -> bool:
+    """The flat existence sweep the row-by-row one replaced, kept as its
+    oracle: every edge mask with edge {1, 2} red, in chunks of 2^21, plus
+    the all-blue colouring, which covers the rest up to relabelling."""
+    if not combinatorics._has_forbidden((0,) * v, constraint):
+        return True
+    e = v * (v - 1) // 2
+    if e == 0:
+        return False
+
+    def clique_masks(size):
+        masks = []
+        for subset in itertools.combinations(range(1, v + 1), size):
+            m = 0
+            for a, b in itertools.combinations(subset, 2):
+                m |= 1 << edge_index(a, b, v)
+            masks.append(m)
+        return masks
+
+    red, blue = clique_masks(constraint.m), clique_masks(constraint.n)
+    chunk = 1 << 21
+    for start in range(1, 1 << e, 2 * chunk):
+        masks = np.arange(start, min(start + 2 * chunk, 1 << e), 2,
+                          np.uint32)
+        if combinatorics._avoiding(masks, red, blue).size:
+            return True
+    return False
 
 
 def _counting(values, reads):
@@ -380,25 +409,73 @@ class TestExistence:
         with pytest.raises(BudgetError):
             exists_good_coloring(9, constraint, mode="enumerate")
 
-    def test_full_sweep_at_the_edge_budget(self, monkeypatch):
-        # (8; 3,3) is UNSAT, so the e=28 sweep reads every chunk up to the
-        # mask with all 28 edge bits set, as uint32.
+    def test_staged_sweep_at_the_edge_budget(self, monkeypatch):
+        # (8; 3,3) is UNSAT.  Its sweep dies by row 3, so it hands the
+        # kernel few masks, all uint32 and at most _CHUNK at a time, and
+        # reaches the top edge {7, 8} at bit 27 of the 28-bit width.
         seen = []
         avoiding = combinatorics._avoiding
 
         def recording(masks, inside, meet):
-            seen.append((masks.dtype, masks.size, int(masks[0]),
-                         int(masks[-1])))
+            seen.append(masks)
             return avoiding(masks, inside, meet)
 
         monkeypatch.setattr(combinatorics, "_avoiding", recording)
         assert exists_good_coloring(8, CliqueConstraint(3, 3),
                                     "enumerate") is False
-        assert {dtype for dtype, *_ in seen} == {np.dtype(np.uint32)}
-        assert sum(size for _, size, _, _ in seen) == 1 << 27
-        assert seen[0][2] == 1
-        assert seen[-1][3] == (1 << 28) - 1
-        assert all(prev[3] + 2 == nxt[2] for prev, nxt in zip(seen, seen[1:]))
+        assert {masks.dtype for masks in seen} == {np.dtype(np.uint32)}
+        assert max(masks.size for masks in seen) <= combinatorics._CHUNK
+        assert sum(masks.size for masks in seen) < 1 << 12
+        assert any((masks >> np.uint32(27)).any() for masks in seen)
+
+    @pytest.mark.parametrize("v", range(1, 8))
+    def test_matches_flat_sweep(self, v):
+        for m, n in itertools.product(range(1, 6), repeat=2):
+            constraint = CliqueConstraint(m, n)
+            expected = _reference_exists(v, constraint)
+            assert combinatorics._enumerate_exists(v, constraint) == expected
+            if 1 in (m, n):
+                assert expected is False
+
+    @pytest.mark.parametrize("chunk", [1 << 7, 1 << 8, 1 << 10])
+    def test_small_pieces(self, monkeypatch, chunk):
+        # At 2^7 a piece of the last row holds a single survivor.
+        monkeypatch.setattr(combinatorics, "_CHUNK", chunk)
+        for m, n, ramsey in ((3, 3, 6), (3, 4, 9), (3, 5, 14), (4, 4, 18)):
+            for v in range(5, 9):
+                assert combinatorics._enumerate_exists(
+                    v, CliqueConstraint(m, n)) == (v < ramsey)
+        # An UNSAT sweep visits every piece: the row of vertex v - k
+        # extends each of the good(k) labelled (3,3)-good colourings of
+        # the k vertices above it in 2^k ways.
+        constraint = CliqueConstraint(3, 3)
+        good = [sum(not has_forbidden_clique(EdgeColoring.from_mask(k, x),
+                                             constraint)
+                    for x in range(1 << k * (k - 1) // 2))
+                for k in range(1, 6)]
+        assert good == [1, 2, 6, 18, 12]
+        sizes = []
+        avoiding = combinatorics._avoiding
+
+        def recording(masks, inside, meet):
+            sizes.append(masks.size)
+            assert masks.size <= chunk
+            return avoiding(masks, inside, meet)
+
+        monkeypatch.setattr(combinatorics, "_avoiding", recording)
+        assert not combinatorics._enumerate_exists(8, constraint)
+        assert sum(sizes) == 1 + sum(g << k for k, g in enumerate(good, 1))
+
+    def test_known_values_through_the_sweep(self):
+        for k in range(2, 9):
+            assert brute_force_ramsey(CliqueConstraint(2, k), 8,
+                                      "enumerate") == k
+        assert brute_force_ramsey(CliqueConstraint(3, 3), 8,
+                                  "enumerate") == 6
+        assert check_small(8, 3, 3) is False
+        with pytest.raises(BudgetError) as info:
+            brute_force_ramsey(CliqueConstraint(3, 4), 9, "enumerate")
+        assert info.value.partial == 8
 
     def test_r2n_is_n(self):
         for n in (2, 3, 5, 7):
