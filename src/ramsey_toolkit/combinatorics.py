@@ -13,20 +13,24 @@ automorphism group.  The walk grows classes by canonical augmentation: a
 child is kept only when its new vertex is canonical, and most children
 are rejected by degree, by the parent's automorphism orbits (one
 assignment per orbit is tried) and by colour before any key is computed.
-Every child that passes is then a new class, so nothing is deduplicated,
-and big levels are split over the usable cores with a result that does
-not depend on their number.  Canonical labelling refines red-degree
-colours by counting red neighbours per colour cell, then searches for the
-least ordering one colour cell at a time, branching only among tied cell
-members and trying one of each pair of twins; the search also records the
-automorphism generators the walk carries.  The graded
-Ramsey recursion and qubit budget helpers live here too.
+Every child that passes is then a new class, so nothing is deduplicated.
+A big level forks one worker process per usable core after the first;
+each computes a share of the parents from the memory it inherited while
+this process computes another, and the result does not depend on the
+number of cores.  Canonical labelling refines red-degree colours by
+counting red neighbours per colour cell, then searches for the least
+ordering one colour cell at a time, branching only among tied cell
+members and trying one of each pair of twins; the search also records
+the automorphism generators the walk carries.  The graded Ramsey
+recursion and qubit budget helpers live here too.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -59,10 +63,12 @@ _ENUM_EDGE_BUDGET = 28
 # (large cells of tied, non-twin vertices).
 _CANONICAL_V_BUDGET = 12
 
-# Walk levels with at least this many parents run on every usable core.
-# On a 2-core x86-64 VM, the 71-parent (3,5) level took 43 ms serially and
-# 30 ms on two workers, and starting and stopping the pool costs about
-# 10 ms, so smaller levels gain nothing from it.
+# Walk levels with at least this many parents fork one worker process per
+# usable core after the first.  On a 2-core x86-64 VM (medians of 21 alternating
+# runs, two sessions), the 71-parent (3,5) level took 37-39 ms serially and
+# 23-24 ms forked, while the 24- and 32-parent levels took 7-12 ms either
+# way and the 13-parent level 4.0 ms serially and 4.6 ms forked: a fork
+# costs a few ms, so levels below this cut-off gain nothing measurable.
 _PARALLEL_MIN_PARENTS = 64
 
 # Most candidates the enumeration sweep hands the clique kernel at once.
@@ -364,7 +370,7 @@ def _children(parents, constraint: CliqueConstraint) -> list[tuple]:
     return children
 
 
-def _next_frontier(frontier, constraint: CliqueConstraint, pool=None,
+def _next_frontier(frontier, constraint: CliqueConstraint,
                    workers: int = 1) -> list[tuple]:
     """Good one-vertex extensions of good colourings, one per canonical
     class, sorted by key.
@@ -391,18 +397,90 @@ def _next_frontier(frontier, constraint: CliqueConstraint, pool=None,
 
     Two kept children are isomorphic only when they share a parent and an
     automorphism of the parent maps one assignment to the other, so after
-    test 2 every key is a new class and nothing is deduplicated.  With a
-    ``pool`` of ``workers`` processes, alternate parents go to each worker
-    and the sort by key merges their children, so the frontier does not
-    depend on the number of workers.
+    test 2 every key is a new class and nothing is deduplicated.  With
+    ``workers`` > 1, alternate parents go to each of ``workers - 1``
+    forked worker processes and to this one (see
+    :func:`_forked_children`), and the sort by key merges their children,
+    so the frontier does not depend on the number of workers.
     """
-    if pool is None:
-        children = _children(frontier, constraint)
+    if workers > 1:
+        children = _forked_children(frontier, constraint, workers)
     else:
-        children = [child for part in pool.map(
-            _children, [frontier[i::workers] for i in range(workers)],
-            [constraint] * workers) for child in part]
-    return [(red, generators) for _, red, generators in sorted(children)]
+        children = _children(frontier, constraint)
+    # Keys are distinct, so the sort never compares the colourings; both
+    # steps work in place, so the merge holds one list of the level.
+    children.sort()
+    for i, (_, red, generators) in enumerate(children):
+        children[i] = red, generators
+    return children
+
+
+def _forked_children(frontier, constraint: CliqueConstraint,
+                     workers: int) -> list[tuple]:
+    """:func:`_children` of ``frontier``, split into ``workers`` shares of
+    alternate parents: one forked worker process per share after the
+    first, which this process computes meanwhile.
+
+    Each worker reads its share from the memory it inherited and pickles
+    ``("ok", children)`` or ``("error", exception, traceback text)`` into
+    its own pipe before ``os._exit``.  A worker's exception is raised here
+    with the worker's traceback as its cause; a worker that ends without a
+    result or with a non-zero status raises :class:`RuntimeError`.  Every
+    worker still running when this returns or raises is killed and reaped.
+    """
+    pipes = {}
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(read, write, frontier[share::workers], constraint)
+            os.close(write)
+            pipes[pid] = os.fdopen(read, "rb")
+        children = _children(frontier[::workers], constraint)
+        for pid, pipe in list(pipes.items()):
+            with pipe:
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    result = None
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            if result is not None and result[0] == "error":
+                raise result[1] from RuntimeError(
+                    f"in glue worker {pid}:\n{result[2]}")
+            if result is None or status:
+                raise RuntimeError(f"glue worker {pid} ended with status "
+                                   f"{status} without its children")
+            children += result[1]
+        return children
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _run_share(read: int, write: int, parents,
+               constraint: CliqueConstraint):
+    """Body of a worker process of :func:`_forked_children`; never
+    returns."""
+    status = 1
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as out:
+            try:
+                result = "ok", _children(parents, constraint)
+            except BaseException as exc:
+                import traceback
+                result = "error", exc, traceback.format_exc()
+            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _walk(constraint: CliqueConstraint,
@@ -411,11 +489,10 @@ def _walk(constraint: CliqueConstraint,
 
     Returns the ``(v, count)`` profile, stopping after the first zero.
     Past the canonical labelling budget the :class:`BudgetError` carries
-    the profile of the finished orders.  Levels of at least
-    ``_PARALLEL_MIN_PARENTS`` parents run on a fork process pool with one
-    worker per usable core, started at the first such level and shut down
-    when the walk ends, however it ends; a worker that dies raises
-    ``BrokenProcessPool``.  With one core or without ``fork`` the walk runs
+    the profile of the finished orders.  Each level of at least
+    ``_PARALLEL_MIN_PARENTS`` parents forks one worker process per usable
+    core after the first, and every worker has ended when the level
+    returns or raises.  With one core or without ``fork`` the walk runs
     serially.
     """
     frontier = [] if _has_forbidden((0,), constraint) else [((0,), ())]
@@ -423,26 +500,13 @@ def _walk(constraint: CliqueConstraint,
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
              else 1)
-    pool = None
-    try:
-        while frontier and len(profile) < v_max:
-            if (pool is None and cores > 1
-                    and len(frontier) >= _PARALLEL_MIN_PARENTS):
-                # Imported here: the process pool's modules take about
-                # 20 ms to import, which walks of small levels need not pay.
-                # Fork, because a spawned worker would import numpy again.
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                pool = ProcessPoolExecutor(
-                    cores, multiprocessing.get_context("fork"))
-            try:
-                frontier = _next_frontier(frontier, constraint, pool, cores)
-            except BudgetError as exc:
-                raise BudgetError(str(exc), partial=tuple(profile)) from exc
-            profile.append((len(profile) + 1, len(frontier)))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    while frontier and len(profile) < v_max:
+        workers = cores if len(frontier) >= _PARALLEL_MIN_PARENTS else 1
+        try:
+            frontier = _next_frontier(frontier, constraint, workers)
+        except BudgetError as exc:
+            raise BudgetError(str(exc), partial=tuple(profile)) from exc
+        profile.append((len(profile) + 1, len(frontier)))
     return tuple(profile)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -304,3 +305,27 @@ print(sorted(loaded & {{"scipy", "networkx", "sympy", "numba"}}))
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().split("\n")[-1] == "[]"
+
+    def test_glue_forks_without_process_pool_modules(self, tmp_path):
+        # (3,5) levels of 71 and 179 parents pass the parallel cut-off; the
+        # walk forks for them with os.fork alone, so a run pays for neither
+        # multiprocessing nor concurrent.futures.
+        script = f"""
+import os, sys
+forks = []
+fork = os.fork
+def counting_fork():
+    forks.append(1)
+    return fork()
+os.fork = counting_fork
+from ramsey_toolkit.cli import dispatch
+assert dispatch(["glue", "-m", "3", "-n", "5", "--vmax", "9",
+                 "--out_dir", {str(tmp_path)!r}]) == 0
+print(len(forks), sorted(name for name in sys.modules if name.partition(".")[0]
+                         in ("multiprocessing", "concurrent")))
+"""
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        extra_cores = len(os.sched_getaffinity(0)) - 1
+        assert result.stdout.splitlines()[-1] == f"{2 * extra_cores} []"

@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -871,7 +872,14 @@ _R35_V10 = ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71),
 
 
 class TestParallelWalk:
-    """Big levels run on a fork pool; the output must not show it."""
+    """Big levels fork one child per extra core; the output must not show
+    it, and no child may outlive its level."""
+
+    @staticmethod
+    def assert_no_children():
+        # Covers running children and unreaped zombies alike.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("m,n,v_max,final", [
         (3, 5, 12, (12, 12)), (4, 4, 8, (8, 2079))],
@@ -884,42 +892,55 @@ class TestParallelWalk:
                                 cutoff)
             recorded = []
 
-            def recording(frontier, constraint, pool=None, workers=1):
-                out = next_frontier(frontier, constraint, pool, workers)
-                recorded.append((pool is not None, out))
+            def recording(frontier, constraint, workers=1):
+                out = next_frontier(frontier, constraint, workers)
+                recorded.append((workers > 1, out))
                 return out
 
             monkeypatch.setattr(combinatorics, "_next_frontier", recording)
             profile = frontier_profile(CliqueConstraint(m, n), v_max)
             assert profile[-1] == final
-            assert multiprocessing.active_children() == []
+            self.assert_no_children()
             levels[cutoff] = recorded
-        pooled = len(os.sched_getaffinity(0)) > 1
-        assert all(used == pooled for used, _ in levels[0])
+        forked = len(os.sched_getaffinity(0)) > 1
+        assert all(used == forked for used, _ in levels[0])
         assert not any(used for used, _ in levels[_NEVER])
         # Representatives with their generators, not only their keys.
         assert [out for _, out in levels[0]] == \
             [out for _, out in levels[_NEVER]]
 
     def test_budget_error_in_worker(self, monkeypatch):
-        # Forked workers inherit the patched budget, so at the cut-off 0
-        # the v=11 children raise inside the workers.
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 10)
+        # Forked children inherit the patched labelling and cut-off, so
+        # only the children's share of the v=11 level raises.
+        main = os.getpid()
+        adjacency_key = combinatorics._adjacency_key
+
+        def budget_in_child(red, *args):
+            if os.getpid() != main and len(red) > 10:
+                raise BudgetError("labelling budget exceeded in a child")
+            return adjacency_key(red, *args)
+
+        monkeypatch.setattr(combinatorics, "_adjacency_key", budget_in_child)
         monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        if len(os.sched_getaffinity(0)) == 1:
+            assert frontier_profile(CliqueConstraint(3, 5), 11)[-1] == \
+                (11, 105)
+            return
         with pytest.raises(BudgetError) as info:
             frontier_profile(CliqueConstraint(3, 5), 11)
         assert info.value.partial == _R35_V10
-        assert multiprocessing.active_children() == []
-        if len(os.sched_getaffinity(0)) > 1:
-            # The pool chains the worker's traceback as the cause.
-            assert "in _children" in str(info.value.__cause__.__cause__)
+        child_error = info.value.__cause__
+        assert isinstance(child_error, BudgetError)
+        assert "exceeded in a child" in str(child_error)
+        # The child's traceback is chained as the cause.
+        assert "in _children" in str(child_error.__cause__)
+        self.assert_no_children()
 
     def test_dead_worker_raises(self):
-        # A worker that exits mid-level must fail the walk, not hang it;
-        # run in a child interpreter so a hang is cut off by the timeout.
+        # A child that exits mid-level must fail the walk, not hang it;
+        # run in a fresh interpreter so a hang is cut off by the timeout.
         script = """
-import multiprocessing, os
-from concurrent.futures.process import BrokenProcessPool
+import os
 from ramsey_toolkit import CliqueConstraint, combinatorics, frontier_profile
 
 class ExitsInWorker(CliqueConstraint):
@@ -932,14 +953,49 @@ MAIN = os.getpid()
 combinatorics._PARALLEL_MIN_PARENTS = 0
 try:
     print(frontier_profile(ExitsInWorker(3, 5), 8)[-1])
-except BrokenProcessPool:
-    print("broken", multiprocessing.active_children())
+except RuntimeError as exc:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no children:", exc)
 """
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        pooled = len(os.sched_getaffinity(0)) > 1
-        assert result.stdout == ("broken []\n" if pooled else "(8, 179)\n")
+        if len(os.sched_getaffinity(0)) > 1:
+            assert re.fullmatch(r"no children: glue worker \d+ ended with "
+                                r"status 3 without its children\n",
+                                result.stdout)
+        else:
+            assert result.stdout == "(8, 179)\n"
+
+    def test_error_in_own_share_kills_child(self, tmp_path, monkeypatch):
+        # The child sleeps until it is killed, and this process's share
+        # raises once the child is running: the walk must kill and reap the
+        # child rather than wait for it.
+        main = os.getpid()
+        started = tmp_path / "started"
+
+        def share(parents, constraint):
+            if os.getpid() != main:
+                (tmp_path / "pid").write_text(str(os.getpid()))
+                os.replace(tmp_path / "pid", started)
+                time.sleep(60)
+            deadline = time.monotonic() + 30
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise ValueError("own share failed")
+
+        monkeypatch.setattr(combinatorics, "_children", share)
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        begin = time.monotonic()
+        with pytest.raises(ValueError, match="own share failed"):
+            frontier_profile(CliqueConstraint(3, 5), 4)
+        assert time.monotonic() - begin < 30
+        self.assert_no_children()
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(started.read_text()), 0)
 
 
 class TestGraded:
