@@ -20,9 +20,12 @@ this process computes another, and the result does not depend on the
 number of cores.  Canonical labelling refines red-degree colours by
 counting red neighbours per colour cell, then searches for the least
 ordering one colour cell at a time, branching only among tied cell
-members and trying one of each pair of twins; the search also records
-the automorphism generators the walk carries.  The graded Ramsey
-recursion and qubit budget helpers live here too.
+members.  The search prunes by the automorphisms it finds: it tries one
+of each pair of twins, jumps back from a leaf equal to the least found to
+the node where the two orderings part, and skips a candidate in the orbit
+of an explored sibling under the automorphisms found that fix the
+prefix.  Those automorphisms are the generators the walk carries.  The
+graded Ramsey recursion and qubit budget helpers live here too.
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ _CANONICAL_V_BUDGET = 12
 
 # Walk levels with at least this many parents fork one worker process per
 # usable core after the first.  On a 2-core x86-64 VM (medians of 21 alternating
-# runs, two sessions), the 71-parent (3,5) level took 37-39 ms serially and
-# 23-24 ms forked, while the 24- and 32-parent levels took 7-12 ms either
-# way and the 13-parent level 4.0 ms serially and 4.6 ms forked: a fork
-# costs a few ms, so levels below this cut-off gain nothing measurable.
+# runs, two sessions), the 71-parent (3,5) level took 25-27 ms serially and
+# 18 ms forked and the 84-parent (4,4) level 32-33 ms and 25 ms, while the
+# 24- and 32-parent levels took 6-10 ms either way and the 13-parent level
+# 3.4 ms serially and 4.5 ms forked: a fork costs a few ms, so levels below
+# this cut-off gain nothing measurable.
 _PARALLEL_MIN_PARENTS = 64
 
 # Most candidates the enumeration sweep hands the clique kernel at once.
@@ -543,21 +547,32 @@ def _refined_colors(red, v: int, first: int | None = None) -> list[int]:
     of red neighbours in every colour cell.  Vertices of one colour have
     equal degree, so those counts order them exactly as their sorted lists
     of neighbour colours would; a vertex alone in its cell needs no counts.
-    Colour ids are ranks, so they are invariant under vertex relabelling.
-    With ``first``, refinement stops as soon as ``first`` leaves colour 0:
-    cell 0 only shrinks, because the new ids rank signatures that start
-    with the old colour.
+    A signature is one int: the colour, then ``top - count`` for each cell
+    in ``v.bit_length()`` bits, with ``top`` the largest such field, so it
+    sorts like the tuple of the colour and the negated counts.  Colour ids
+    are ranks, so they are invariant under vertex relabelling.  With
+    ``first``, refinement stops as soon as ``first`` leaves colour 0: cell
+    0 only shrinks, because the new ids rank signatures that start with the
+    old colour.
     """
     degrees = [r.bit_count() for r in red]
     rank = {d: c for c, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
+    width = v.bit_length()
+    top = (1 << width) - 1
     while len(rank) < v and not (first is not None and colors[first]):
         cells = [0] * len(rank)
         for u, c in enumerate(colors):
             cells[c] |= 1 << u
-        signatures = [(c, *[-(r & cell).bit_count() for cell in cells])
-                      if cells[c] & (cells[c] - 1) else (c,)
-                      for c, r in zip(colors, red)]
+        signatures = []
+        for c, r in zip(colors, red):
+            if cells[c] & (cells[c] - 1):
+                s = c
+                for cell in cells:
+                    s = s << width | top - (r & cell).bit_count()
+            else:
+                s = c << width * len(cells)
+            signatures.append(s)
         rank = {s: c for c, s in enumerate(sorted(set(signatures)))}
         if len(rank) == len(cells):
             break
@@ -576,13 +591,16 @@ def canonical_key(coloring: EdgeColoring) -> bytes:
     the minimal ordering lists the cells in colour order; the backtracking
     search branches only among the members of the current cell that tie on
     the minimal column, walks singleton steps without branching and prunes
-    any prefix above the best found.  Of two tied candidates with the same
-    neighbours apart from each other (twins), only the first is tried:
-    swapping them is an automorphism fixing the prefix.  Worst case is
-    still factorial, hence the hard cap at v = 12.  The key is computed
-    from the red adjacency masks, the form the glue walk stores colourings
-    in, and nothing is cached.  The walk keys only the children that pass
-    its degree and colour tests, and the same search is its orbit test.
+    any prefix above the best found.  It also prunes by the automorphisms
+    it finds: of two tied candidates with the same neighbours apart from
+    each other (twins), only the first is tried; a leaf equal to the best
+    jumps back to the node where the two orderings part; and a candidate
+    in the orbit of an explored sibling, under the automorphisms found that
+    fix the prefix, is skipped.  Worst case is still factorial, hence the
+    hard cap at v = 12.  The key is computed from the red adjacency masks,
+    the form the glue walk stores colourings in, and nothing is cached.
+    The walk keys only the children that pass its degree and colour tests,
+    and the same search is its orbit test.
     """
     return _adjacency_key(coloring.red_neighbors())
 
@@ -600,12 +618,29 @@ def _adjacency_key(red, colors=None, first=None,
     the orbit of canonical first vertices (McKay & Piperno, "Practical
     graph isomorphism II", JSC 2014).
 
-    With a set ``generators``, the search adds vertex permutations (as
-    ``bytes`` of images) that generate the automorphism group: one for each
-    leaf whose columns equal the least found, mapping that ordering onto
-    this one, and the transposition of each twin it drops.  Every leaf of
-    the full search tree is the image of a visited leaf under these twin
-    swaps, so once a key is returned they are complete.
+    The search keeps every automorphism it finds: for each leaf whose
+    columns equal the least found, the permutation mapping that ordering
+    onto this one, and the transposition of each twin it drops.  It prunes
+    with them in two more ways.  After such a leaf it returns straight to
+    the node where the two orderings first differ: that automorphism fixes
+    the node's prefix and maps the explored child on the least ordering's
+    path onto this one, so the rest of this child's subtree is the image of
+    one already searched.  And at every branching node it skips a tied
+    candidate in the orbit of an explored sibling under the automorphisms
+    found so far that fix the prefix pointwise.  A subtree is thus skipped
+    either because its prefix is above the best, so it holds no leaf with
+    the least columns, or as the image of a searched subtree under a found
+    automorphism, so the key is that of the full search.
+
+    With a set ``generators``, the search adds the automorphisms it found,
+    as ``bytes`` of images; once a key is returned they generate the whole
+    automorphism group (McKay, "Practical graph isomorphism", Congr. Numer.
+    1981).  By induction over the skipped subtrees, every leaf of the full
+    tree with the least columns is the image of a visited one under the
+    group they generate, and a visited one is the least ordering or was
+    recorded as its image.  An automorphism maps the least ordering to such
+    a leaf, and the two orderings determine it, so it is a product of the
+    generators.
     """
     v = len(red)
     if v > _CANONICAL_V_BUDGET:
@@ -620,33 +655,53 @@ def _adjacency_key(red, colors=None, first=None,
     cells = [0] * (sequence[-1] + 1)
     for u, c in enumerate(colors):
         cells[c] |= 1 << u
+    full = (1 << v) - 1
     # Columns of the least ordering found so far; every prefix the search
     # visits is <= its prefix, and equal to it once a leaf below is reached.
     best: list[int] | None = None
     best_order: list[int] = []
     beaten = False
+    # Automorphisms found, as images mapped to the mask of their fixed points.
+    found: dict[bytes, int] = {}
+    # The position a leaf equal to best jumps back to; v when none is due.
+    back = v
+
+    def record(image: list[int]):
+        fixed = 0
+        for u, w in enumerate(image):
+            if u == w:
+                fixed |= 1 << u
+        found[bytes(image)] = fixed
 
     def search(t: int, remaining: int, order: list[int], cols: list[int]):
-        nonlocal best, best_order, beaten
+        nonlocal best, best_order, beaten, back
         while t < v:
-            chunks = []
             members = cells[sequence[t]] & remaining
-            while members:
-                low = members & -members
-                members ^= low
-                u = low.bit_length() - 1
-                r, col = red[u], 0
+            if members & (members - 1):
+                chunks = []
+                while members:
+                    low = members & -members
+                    members ^= low
+                    u = low.bit_length() - 1
+                    r, col = red[u], 0
+                    for x in order:
+                        col = col << 1 | r >> x & 1
+                    chunks.append((col, u))
+                minimal = min(chunks)[0]
+                tied = [u for col, u in chunks if col == minimal]
+            else:
+                # The last member of its cell: one column and no ties.
+                u = members.bit_length() - 1
+                r, minimal = red[u], 0
                 for x in order:
-                    col = col << 1 | r >> x & 1
-                chunks.append((col, u))
-            minimal = min(chunks)[0]
+                    minimal = minimal << 1 | r >> x & 1
+                tied = [u]
             if best is not None and minimal != best[t] and cols == best[:t]:
                 if minimal > best[t]:
                     return
                 if first is not None and order[0] != first:
                     beaten = True
                     return
-            tied = [u for col, u in chunks if col == minimal]
             if len(tied) > 1:
                 if t == 0 and first is not None:
                     tied.remove(first)
@@ -657,33 +712,49 @@ def _adjacency_key(red, colors=None, first=None,
                 for w in tied:
                     for u in kept:
                         if not (red[u] ^ red[w]) & ~(1 << u | 1 << w):
-                            if generators is not None:
-                                swap = list(range(v))
-                                swap[u], swap[w] = w, u
-                                generators.add(bytes(swap))
+                            swap = list(range(v))
+                            swap[u], swap[w] = w, u
+                            record(swap)
                             break
                     else:
                         kept.append(w)
                 tied = kept
             cols.append(minimal)
-            t += 1
             if len(tied) > 1:
-                for u in tied:
-                    search(t, remaining & ~(1 << u), order + [u], cols[:])
-                    if beaten:
+                placed = full ^ remaining
+                explored = 0
+                for i, u in enumerate(tied):
+                    if explored >> u & 1:
+                        continue
+                    search(t + 1, remaining & ~(1 << u), order + [u],
+                           cols[:])
+                    # A jump back to an earlier position passes through;
+                    # one to this position resumes with the next sibling.
+                    if beaten or back < t:
                         return
+                    back = v
+                    explored |= 1 << u
+                    if found and i + 1 < len(tied):
+                        explored = _closure(explored, [
+                            image for image, fixed in found.items()
+                            if fixed & placed == placed])
                 return
             order.append(tied[0])
             remaining &= ~(1 << tied[0])
+            t += 1
         if cols != best:
             best, best_order = cols, order
-        elif generators is not None:
-            image = [0] * v
-            for u, w in zip(best_order, order):
-                image[u] = w
-            generators.add(bytes(image))
+            return
+        image = [0] * v
+        for i, (u, w) in enumerate(zip(best_order, order)):
+            image[u] = w
+            if u != w and back == v:
+                back = i
+        record(image)
 
-    search(0, (1 << v) - 1, [], [])
+    search(0, full, [], [])
+    if generators is not None:
+        generators.update(found)
     if beaten:
         return None
     out = bytearray([v, sequence[0]])
@@ -691,6 +762,20 @@ def _adjacency_key(red, colors=None, first=None,
         out.append(color)
         out += col.to_bytes(2, "big")
     return bytes(out)
+
+
+def _closure(mask: int, images) -> int:
+    """The least vertex mask containing ``mask`` that every permutation of
+    ``images`` maps onto itself."""
+    stack = [u for u in range(mask.bit_length()) if mask >> u & 1]
+    while stack:
+        u = stack.pop()
+        for image in images:
+            w = image[u]
+            if not mask >> w & 1:
+                mask |= 1 << w
+                stack.append(w)
+    return mask
 
 
 def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,

@@ -135,7 +135,7 @@ def _counting(values, reads):
         yield x
 
 
-def _reference_refined_colors(red, v: int) -> list[int]:
+def _sorted_neighbour_colors(red, v: int) -> list[int]:
     """Equitable-partition colours by sorting neighbour-colour lists, the
     refinement canonical labelling used before it counted per cell."""
     colors = [0] * v
@@ -151,11 +151,114 @@ def _reference_refined_colors(red, v: int) -> list[int]:
         colors = new_colors
 
 
+def _reference_refined_colors(red, v: int, first: int | None = None
+                              ) -> list[int]:
+    """The count refinement with tuple signatures, kept as the oracle for
+    the packed integer signatures."""
+    degrees = [r.bit_count() for r in red]
+    rank = {d: c for c, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    while len(rank) < v and not (first is not None and colors[first]):
+        cells = [0] * len(rank)
+        for u, c in enumerate(colors):
+            cells[c] |= 1 << u
+        signatures = [(c, *[-(r & cell).bit_count() for cell in cells])
+                      if cells[c] & (cells[c] - 1) else (c,)
+                      for c, r in zip(colors, red)]
+        rank = {s: c for c, s in enumerate(sorted(set(signatures)))}
+        if len(rank) == len(cells):
+            break
+        colors = [rank[s] for s in signatures]
+    return colors
+
+
+def _reference_adjacency_key(red, colors=None, first=None, generators=None):
+    """The cell-wise key search that pruned only twins, kept as the oracle
+    for automorphism pruning: same arguments and results as
+    ``combinatorics._adjacency_key``."""
+    v = len(red)
+    if v == 1:
+        return bytes([1])
+    if colors is None:
+        colors = _reference_refined_colors(red, v)
+    sequence = sorted(colors)
+    cells = [0] * (sequence[-1] + 1)
+    for u, c in enumerate(colors):
+        cells[c] |= 1 << u
+    best = None
+    best_order = []
+    beaten = False
+
+    def search(t, remaining, order, cols):
+        nonlocal best, best_order, beaten
+        while t < v:
+            chunks = []
+            members = cells[sequence[t]] & remaining
+            while members:
+                low = members & -members
+                members ^= low
+                u = low.bit_length() - 1
+                r, col = red[u], 0
+                for x in order:
+                    col = col << 1 | r >> x & 1
+                chunks.append((col, u))
+            minimal = min(chunks)[0]
+            if best is not None and minimal != best[t] and cols == best[:t]:
+                if minimal > best[t]:
+                    return
+                if first is not None and order[0] != first:
+                    beaten = True
+                    return
+            tied = [u for col, u in chunks if col == minimal]
+            if len(tied) > 1:
+                if t == 0 and first is not None:
+                    tied.remove(first)
+                    tied.insert(0, first)
+                kept = []
+                for w in tied:
+                    for u in kept:
+                        if not (red[u] ^ red[w]) & ~(1 << u | 1 << w):
+                            if generators is not None:
+                                swap = list(range(v))
+                                swap[u], swap[w] = w, u
+                                generators.add(bytes(swap))
+                            break
+                    else:
+                        kept.append(w)
+                tied = kept
+            cols.append(minimal)
+            t += 1
+            if len(tied) > 1:
+                for u in tied:
+                    search(t, remaining & ~(1 << u), order + [u], cols[:])
+                    if beaten:
+                        return
+                return
+            order.append(tied[0])
+            remaining &= ~(1 << tied[0])
+        if cols != best:
+            best, best_order = cols, order
+        elif generators is not None:
+            image = [0] * v
+            for u, w in zip(best_order, order):
+                image[u] = w
+            generators.add(bytes(image))
+
+    search(0, (1 << v) - 1, [], [])
+    if beaten:
+        return None
+    out = bytearray([v, sequence[0]])
+    for color, col in zip(sequence[1:], best[1:]):
+        out.append(color)
+        out += col.to_bytes(2, "big")
+    return bytes(out)
+
+
 def _reference_key(red) -> bytes:
     """The canonical key by a search over every remaining vertex at each
     node, kept as the byte oracle for the cell-wise search."""
     v = len(red)
-    colors = _reference_refined_colors(red, v)
+    colors = _sorted_neighbour_colors(red, v)
     if v == 1:
         return bytes([1])
     red_degrees = sum(r.bit_count() for r in red)
@@ -206,7 +309,7 @@ def _pack_reference(v: int, chunks) -> bytes:
 def _least_first_vertices(red) -> set[int]:
     """First vertices of the least chunk sequences over every ordering."""
     v = len(red)
-    colors = _reference_refined_colors(red, v)
+    colors = _sorted_neighbour_colors(red, v)
     sequences = {order: [(colors[u], tuple(red[u] >> x & 1 for x in order[:t]))
                          for t, u in enumerate(order)]
                  for order in itertools.permutations(range(v))}
@@ -232,7 +335,7 @@ def _assert_first_vertex_orbit(red) -> set[int]:
 def _assert_matches_reference(red):
     red = tuple(red)
     assert combinatorics._refined_colors(red, len(red)) == \
-        _reference_refined_colors(red, len(red))
+        _sorted_neighbour_colors(red, len(red))
     assert combinatorics._adjacency_key(red) == _reference_key(red)
 
 
@@ -770,6 +873,14 @@ def _automorphisms(red) -> list[tuple[int, ...]]:
 def _subset_orbits(v: int, images) -> set[frozenset]:
     """Orbits of the vertex masks of 0..v-1 under the permutations
     ``images`` (each a sequence of images), closed under composition."""
+    maps = []
+    for perm in images:
+        # The image of every mask, each from the mask without its low bit.
+        image = [0] * (1 << v)
+        for b in range(1, 1 << v):
+            low = b & -b
+            image[b] = image[b ^ low] | 1 << perm[low.bit_length() - 1]
+        maps.append(image)
     orbits, seen = set(), set()
     for a in range(1 << v):
         if a in seen:
@@ -777,8 +888,8 @@ def _subset_orbits(v: int, images) -> set[frozenset]:
         orbit, stack = {a}, [a]
         while stack:
             b = stack.pop()
-            for perm in images:
-                c = sum(1 << perm[u] for u in range(v) if b >> u & 1)
+            for image in maps:
+                c = image[b]
                 if c not in orbit:
                     orbit.add(c)
                     stack.append(c)
@@ -791,14 +902,14 @@ def _assert_generators_complete(red):
     """The generators recorded by the key search, with no start vertex and
     with each accepted one, give the brute-force orbits on vertex subsets."""
     v = len(red)
-    expected = _subset_orbits(v, _automorphisms(red))
+    auts = set(_automorphisms(red))
+    expected = _subset_orbits(v, auts)
     colors = combinatorics._refined_colors(red, v)
     for first in [None] + [u for u in range(v) if colors[u] == 0]:
         generators = set()
         key = combinatorics._adjacency_key(red, colors, first, generators)
         if key is None:
             continue
-        auts = set(_automorphisms(red))
         assert all(tuple(perm) in auts for perm in generators)
         moves = combinatorics._moves(generators)
         assert {frozenset(combinatorics._orbit(a, moves))
@@ -865,6 +976,112 @@ class TestOrbitPruning:
         assert (early[first] == 0) == (full[first] == 0)
         if full[first] == 0:
             assert early == full
+
+
+def _red(v: int, edges) -> list[int]:
+    """Red adjacency masks of the graph on 0..v-1 with ``edges``."""
+    red = [0] * v
+    for i, j in edges:
+        red[i] |= 1 << j
+        red[j] |= 1 << i
+    return red
+
+
+def _circulant(v: int, steps) -> list[int]:
+    return _red(v, [(i, (i + s) % v) for i in range(v) for s in steps])
+
+
+def _paley9() -> list[int]:
+    """Paley graph on GF(9) = GF(3)[i], i^2 = -1: a + bi is vertex 3a + b,
+    adjacent when the difference is a nonzero square."""
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return (a * c - b * d) % 3, (a * d + b * c) % 3
+
+    field = [(a, b) for a in range(3) for b in range(3)]
+    squares = {mul(x, x) for x in field} - {(0, 0)}
+    return _red(9, [(3 * a + b, 3 * c + d)
+                    for (a, b), (c, d) in itertools.combinations(field, 2)
+                    if ((a - c) % 3, (b - d) % 3) in squares])
+
+
+def _petersen() -> list[int]:
+    """The Kneser graph K(5, 2): pairs of 0..4, adjacent when disjoint."""
+    pairs = list(itertools.combinations(range(5), 2))
+    return _red(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
+                     if not set(pairs[a]) & set(pairs[b])])
+
+
+def _group_order(v: int, generators) -> int:
+    """Order of the group ``generators`` generate, by closure from the
+    identity."""
+    identity = tuple(range(v))
+    group, stack = {identity}, [identity]
+    while stack:
+        g = stack.pop()
+        for h in generators:
+            gh = tuple(h[g[u]] for u in range(v))
+            if gh not in group:
+                group.add(gh)
+                stack.append(gh)
+    return len(group)
+
+
+class TestAutomorphismPruning:
+    """Jump-back and stabiliser-orbit pruning keep the keys, the start-vertex
+    answers and the group of the twin-only search."""
+
+    @given(st.integers(min_value=1, max_value=10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_twin_only_search(self, v, data):
+        pairs = list(itertools.combinations(range(v), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs
+                          else st.just(set()), label="edges")
+        if data.draw(st.booleans(), label="complement"):
+            edges = set(pairs) - edges
+        red = _red(v, edges)
+        colors = _reference_refined_colors(red, v)
+        assert combinatorics._refined_colors(red, v) == colors
+        generators, expected = set(), set()
+        key = combinatorics._adjacency_key(red, None, None, generators)
+        assert key == _reference_adjacency_key(red, None, None, expected)
+        orbits = _subset_orbits(v, expected)
+        assert _subset_orbits(v, generators) == orbits
+        for first in range(v):
+            assert combinatorics._refined_colors(red, v, first) == \
+                _reference_refined_colors(red, v, first)
+            if colors[first]:
+                continue
+            generators = set()
+            out = combinatorics._adjacency_key(red, colors, first, generators)
+            assert out == _reference_adjacency_key(red, colors, first)
+            if out is not None:
+                assert _subset_orbits(v, generators) == orbits
+
+    @pytest.mark.parametrize("red", [
+        _circulant(7, [1]), _circulant(8, [1]),
+        _red(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4)]),
+        _circulant(8, [1, 2])], ids=["c7", "c8", "cube", "c8_1_2"])
+    def test_generators_complete_without_twins(self, red):
+        # No two vertices have the same neighbours apart from each other,
+        # so twin pruning never fires and only the new pruning can.
+        assert not any(not (red[u] ^ red[w]) & ~(1 << u | 1 << w)
+                       for u, w in itertools.combinations(range(len(red)), 2))
+        _assert_generators_complete(red)
+
+    @pytest.mark.parametrize("red,order", [
+        (_petersen(), 120),
+        (_circulant(10, [1]), 20), (_paley9(), 72)],
+        ids=["petersen", "c10", "paley9"])
+    def test_group_order(self, red, order):
+        for colouring in (red, combinatorics._blue(red)):
+            generators = set()
+            combinatorics._adjacency_key(colouring, None, None, generators)
+            assert _group_order(len(red), generators) == order
+            # The twin-only search recorded one automorphism per leaf equal
+            # to the least, order - 1 of them here; the pruned search jumps
+            # back from each and records no more than log2 of the order.
+            assert len(generators) <= math.log2(order)
 
 
 _R35_V10 = ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71),
