@@ -140,6 +140,9 @@ def _cmd_diag(args: argparse.Namespace) -> int:
 
 
 def _cmd_cnf(args: argparse.Namespace) -> int:
+    # Validate the sizes before creating anything, so a bad flag writes
+    # nothing.
+    CnfInstance.for_problem(args.N, args.m, args.n)
     output = args.o
     output.parent.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()

@@ -148,6 +148,17 @@ class TestCnf:
         assert (tmp_path / "one.cnf").read_bytes() == \
             (tmp_path / "two.cnf").read_bytes()
 
+    @pytest.mark.parametrize("sizes", [("5", "1", "3"), ("1", "3", "3"),
+                                       ("5", "3", "1")])
+    def test_bad_sizes_write_nothing(self, tmp_path, sizes):
+        N, m, n = sizes
+        target = tmp_path / "d" / "x.cnf"
+        with pytest.raises(ValueError):
+            dispatch(["cnf", "-N", N, "-m", m, "-n", n, "-o", str(target),
+                      "--map"])
+        assert not target.exists()
+        assert not target.parent.exists()
+
 
 class TestGlue:
     def test_frontier_to_threshold(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from ramsey_toolkit import (CliqueConstraint, CnfInstance, check_small,
                             edge_var, exists_good_coloring, stream_cnf,
                             write_map)
 from ramsey_toolkit.cli import dispatch
-from ramsey_toolkit.cnf import _BLOCK_LITERALS
+from ramsey_toolkit.cnf import _BLOCK_LITERALS, _subsets
 
 
 def parse_dimacs(text: str) -> tuple[tuple[int, int], list[list[int]]]:
@@ -159,6 +159,24 @@ class TestStreaming:
         stream_cnf(7, 3, 4, first)
         stream_cnf(7, 3, 4, second)
         assert first.getvalue() == second.getvalue()
+
+
+class TestSubsets:
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_matches_combinations(self, N):
+        for k in range(1, N + 1):
+            table = _subsets(N, k)
+            assert table.dtype == np.uint16
+            assert table.flags.c_contiguous
+            assert table.shape == (math.comb(N, k), k)
+            assert [tuple(row) for row in table.tolist()] == list(
+                itertools.combinations(range(1, N + 1), k))
+
+    def test_paper_size_table(self):
+        table = _subsets(46, 5)
+        assert table.shape == (1_370_754, 5)
+        assert table[0].tolist() == [1, 2, 3, 4, 5]
+        assert table[-1].tolist() == [42, 43, 44, 45, 46]
 
 
 class TestByteOracle:
