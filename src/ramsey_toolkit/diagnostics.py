@@ -20,6 +20,7 @@ functions of (configuration, n).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -118,6 +119,12 @@ def deflation_probability(d: int, k: int) -> float:
     return (1.0 - 1.0 / d) ** k
 
 
+# deflation_mc: the calling thread fills share 0 and one helper thread the
+# rest, each in blocks of up to _MC_BLOCK steps.
+_MC_STREAMS = 2
+_MC_BLOCK = 16
+
+
 def deflation_mc(d: int, k: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the deflation residual with its standard error.
 
@@ -128,29 +135,76 @@ def deflation_mc(d: int, k: int, trials: int, seed: int) -> tuple[float, float]:
     all earlier steps, so the residual after k steps is prod_j (1 - B_j) in
     law.  That law is sampled directly: each factor 1 - B_j is drawn as
     chi2_{d-1} / (z^2 + chi2_{d-1}) from one standard normal z and one
-    standard gamma, not from d Gaussians.  The product is built step by
-    step in preallocated (trials,) buffers, so memory is O(trials) at any k.
+    standard gamma, not from d Gaussians.
     E[1 - B_j] = 1 - 1/d, so the estimator is unbiased for (1 - 1/d)^k.
+
+    The trials are split by ``np.array_split`` into two fixed shares, each
+    drawn from its own generator of ``SeedSequence(seed).spawn(2)``.  A
+    helper thread fills share 1 while the calling thread fills share 0;
+    numpy's generator fills and large ufunc loops release the GIL, so the
+    two can run on two cores.  The share count is a constant, so the result
+    depends only on the arguments, not on cores or scheduling.  Each share
+    draws up to ``_MC_BLOCK`` steps at once into preallocated
+    (block, share) buffers and folds them into its residuals with one
+    ``np.multiply.reduce``, so memory is O(block * trials) at any k.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     if d < 2 or k < 0:
         raise ValueError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    rng = np.random.default_rng(seed)
     residuals = np.ones(trials)
-    overlap = np.empty(trials)
-    rest = np.empty(trials)
-    for _ in range(k):
-        rng.standard_normal(out=overlap)
-        rng.standard_gamma(0.5 * (d - 1), out=rest)
-        rest *= 2.0                      # chi2_{d-1}
-        overlap *= overlap               # z^2, i.e. chi2_1
-        overlap += rest
-        rest /= overlap                  # 1 - B_j
-        residuals *= rest
+    shares = np.array_split(residuals, _MC_STREAMS)
+    streams = np.random.SeedSequence(seed).spawn(_MC_STREAMS)
+    block = min(k, _MC_BLOCK)
+    # Every buffer is allocated here, before the helper starts, so the
+    # helper thread allocates nothing (a thread's own malloc arena would
+    # add to the peak RSS).
+    jobs = [(share, np.random.default_rng(stream), d, k,
+             np.empty((block, share.size)), np.empty((block, share.size)),
+             np.empty(share.size))
+            for share, stream in zip(shares, streams)]
+    failures: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            for job in jobs[1:]:
+                _deflate_share(*job)
+        except BaseException as exc:
+            failures.append(exc)
+
+    thread = threading.Thread(target=helper, name="deflation_mc")
+    thread.start()
+    try:
+        _deflate_share(*jobs[0])
+    finally:
+        thread.join()
+    if failures:
+        raise failures[0]
     estimate = float(residuals.mean())
     std_error = float(residuals.std(ddof=1) / math.sqrt(trials))
     return estimate, std_error
+
+
+def _deflate_share(residuals: np.ndarray, rng: np.random.Generator, d: int,
+                   k: int, overlap: np.ndarray, rest: np.ndarray,
+                   fold: np.ndarray) -> None:
+    """Multiply k deflation factors into ``residuals`` in place, in blocks.
+
+    ``overlap`` and ``rest`` are (block, len(residuals)) buffers and
+    ``fold`` a (len(residuals),) buffer.  Each block draws its normals,
+    then its gammas, row after row from ``rng``.
+    """
+    for start in range(0, k, _MC_BLOCK):
+        z = overlap[:k - start]
+        chi = rest[:k - start]
+        rng.standard_normal(out=z)
+        rng.standard_gamma(0.5 * (d - 1), out=chi)
+        chi *= 2.0                       # chi2_{d-1}
+        z *= z                           # z^2, i.e. chi2_1
+        z += chi
+        chi /= z                         # 1 - B_j, one row per step
+        np.multiply.reduce(chi, axis=0, out=fold)
+        residuals *= fold
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,22 @@ def _reference_map(N: int, sink) -> int:
     return count
 
 
+def _assert_same_text(got, expected) -> None:
+    """Assert ``got == expected`` for two str or two bytes values.
+
+    On a mismatch, report the lengths and a short window around the first
+    differing offset instead of a diff of texts that can be megabytes long.
+    """
+    if got == expected:
+        return
+    offset = next((i for i, (a, b) in enumerate(zip(got, expected))
+                   if a != b), min(len(got), len(expected)))
+    window = slice(max(0, offset - 40), offset + 40)
+    pytest.fail(f"texts differ at offset {offset} (lengths {len(got)} "
+                f"and {len(expected)}):\n  got      {got[window]!r}\n"
+                f"  expected {expected[window]!r}", pytrace=False)
+
+
 class TestVariableNumbering:
     def test_examples(self):
         assert edge_var(1, 2, 12) == 1
@@ -158,7 +174,7 @@ class TestStreaming:
         first, second = io.StringIO(), io.StringIO()
         stream_cnf(7, 3, 4, first)
         stream_cnf(7, 3, 4, second)
-        assert first.getvalue() == second.getvalue()
+        _assert_same_text(first.getvalue(), second.getvalue())
 
 
 class TestSubsets:
@@ -203,7 +219,7 @@ class TestByteOracle:
         got, expected = io.StringIO(), io.StringIO()
         assert stream_cnf(N, m, n, got) == _reference_stream(N, m, n,
                                                               expected)
-        assert got.getvalue() == expected.getvalue()
+        _assert_same_text(got.getvalue(), expected.getvalue())
 
     @pytest.mark.parametrize("N,m,n", [(2, 2, 3), (5, 3, 6), (15, 2, 3),
                                        (20, 2, 6), (46, 3, 3)])
@@ -213,13 +229,14 @@ class TestByteOracle:
             stream_cnf(N, m, n, sink)
         expected = io.StringIO()
         _reference_stream(N, m, n, expected)
-        assert path.read_bytes() == expected.getvalue().encode("ascii")
+        _assert_same_text(path.read_bytes(),
+                          expected.getvalue().encode("ascii"))
 
     @pytest.mark.parametrize("N", [2, 3, 5, 15, 46])
     def test_map_matches_reference(self, N):
         got, expected = io.StringIO(), io.StringIO()
         assert write_map(N, got) == _reference_map(N, expected)
-        assert got.getvalue() == expected.getvalue()
+        _assert_same_text(got.getvalue(), expected.getvalue())
 
     # SHA-256 of stream_cnf(N, 5, 5) at paper size; N = 32 is also the
     # benchmark's reference digest.

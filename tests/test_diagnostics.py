@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -101,6 +103,111 @@ class TestClosedForms:
         var_se = math.sqrt(2 * (np.mean(centred ** 4) - geometric.var() ** 2)
                            / trials)
         assert abs(geometric.var(ddof=1) - variance) <= 4 * var_se
+
+
+class TestDeflationStreams:
+    """deflation_mc against a serial fill of the same two spawned streams."""
+
+    @pytest.mark.parametrize("d, k, trials", [
+        (8, 1, 2), (8, 5, 3), (12, 16, 3), (12, 17, 2), (5, 33, 2001),
+        (24, 100, 2000), (32, 220, 2001)])
+    def test_bitwise_equal_to_serial_reference(self, d, k, trials):
+        assert deflation_mc(d, k, trials, seed=d + k) == \
+            _serial_deflation(d, k, trials, seed=d + k)
+
+    @pytest.mark.parametrize("trials", [2, 3, 2001])
+    def test_zero_steps(self, trials):
+        assert deflation_mc(16, 0, trials, seed=7) == (1.0, 0.0)
+
+    def test_repeated_calls(self):
+        expected = _serial_deflation(16, 40, 501, seed=9)
+        for _ in range(5):
+            assert deflation_mc(16, 40, 501, seed=9) == expected
+
+    def test_concurrent_calls_match_reference(self):
+        # Four callers at once, each with its own helper, under a short
+        # switch interval: every result is still the serial one.
+        results = {}
+
+        def call(seed):
+            results[seed] = deflation_mc(16, 40, 501, seed=seed)
+
+        callers = [threading.Thread(target=call, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == {seed: _serial_deflation(16, 40, 501, seed=seed)
+                           for seed in range(4)}
+
+    def test_helper_failure_is_raised(self, monkeypatch):
+        class HelperFailure(RuntimeError):
+            pass
+
+        fill = diagnostics._deflate_share
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise HelperFailure("helper share failed")
+            fill(*args)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(diagnostics, "_deflate_share", failing)
+        with pytest.raises(HelperFailure):
+            deflation_mc(24, 100, 2000, seed=1)
+        assert threading.active_count() == baseline
+
+    def test_caller_failure_joins_helper(self, monkeypatch):
+        fill = diagnostics._deflate_share
+        helper_done = []
+
+        def failing(*args):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyError("caller share failed")
+            fill(*args)
+            helper_done.append(True)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(diagnostics, "_deflate_share", failing)
+        with pytest.raises(KeyError):
+            deflation_mc(24, 100, 2000, seed=1)
+        assert helper_done == [True]
+        assert threading.active_count() == baseline
+
+
+def _serial_deflation(d: int, k: int, trials: int,
+                      seed: int) -> tuple[float, float]:
+    """Reference: fill share 0, then share 1, each from its spawned stream.
+
+    Each share draws the normals, then the gammas, of up to 16 steps at a
+    time, and multiplies the factors of a block together row by row before
+    they meet the residuals.
+    """
+    sizes = [len(part) for part in np.array_split(np.empty(trials), 2)]
+    parts = []
+    for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(2)):
+        rng = np.random.default_rng(stream)
+        residuals = np.ones(size)
+        for start in range(0, k, 16):
+            steps = min(16, k - start)
+            z = rng.standard_normal((steps, size))
+            chi = 2.0 * rng.standard_gamma(0.5 * (d - 1), (steps, size))
+            factors = chi / (z * z + chi)
+            fold = factors[0].copy()
+            for row in factors[1:]:
+                fold *= row
+            residuals *= fold
+        parts.append(residuals)
+    residuals = np.concatenate(parts)
+    return (float(residuals.mean()),
+            float(residuals.std(ddof=1) / math.sqrt(trials)))
 
 
 def _residual_moment(d: int, k: int, m: int) -> float:
