@@ -32,7 +32,8 @@ from .reporting import (RESULT_COLUMNS, ControlColoringError,
                         ControlSizeError, ControlSymmetryError, format_value,
                         load_control_coloring, write_results)
 from .spectral import (PowerIterationError, Spectrum, dilation_spectrum,
-                       eig_general, log_trace_exp, mat_exp, spectral_norm)
+                       eig_general, log_trace_exp, log_trace_exp_grid,
+                       mat_exp, spectral_norm)
 
 __all__ = [
     "__version__",
@@ -58,5 +59,5 @@ __all__ = [
     "ControlFormatError", "ControlSizeError", "ControlSymmetryError",
     "format_value", "load_control_coloring", "write_results",
     "PowerIterationError", "Spectrum", "dilation_spectrum", "eig_general",
-    "log_trace_exp", "mat_exp", "spectral_norm",
+    "log_trace_exp", "log_trace_exp_grid", "mat_exp", "spectral_norm",
 ]

@@ -23,9 +23,9 @@ from . import __version__
 from .cnf import CnfInstance, stream_cnf, write_map
 from .combinatorics import (BudgetError, CliqueConstraint, frontier_profile,
                             qubit_cost)
-from .diagnostics import (_DEFAULT_ALPHAS, _DEFAULT_SEEDS, DiagnosticsConfig,
-                          build_accumulator, control_record, exp_witness,
-                          run_diagnostics, sample_directions)
+from .diagnostics import (DiagnosticsConfig, build_accumulator,
+                          control_record, exp_witness, run_diagnostics,
+                          sample_directions)
 from .primes import PSQuery, factorize, persistence_scan
 from .qsim import (block_encode_rank1, encode_operator, hadamard_test,
                    hutchinson_trace, lcu_block_encode, phase_estimate_dilation,
@@ -56,9 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--k", type=int, default=DiagnosticsConfig.k,
                       help="directions per batch")
     diag.add_argument("--alpha", type=float, nargs="+",
-                      default=_DEFAULT_ALPHAS,
+                      default=DiagnosticsConfig.alpha_grid,
                       help="witness alpha grid (default: standard grid)")
-    diag.add_argument("--seed", type=int, nargs="+", default=_DEFAULT_SEEDS,
+    diag.add_argument("--seed", type=int, nargs="+",
+                      default=DiagnosticsConfig.seeds,
                       help="seed ensemble (default: standard ensemble)")
     diag.add_argument("--n", type=int, nargs="+", default=_DEFAULT_ORDERS,
                       help="graph orders to sweep")

@@ -856,14 +856,21 @@ def survivor_rank(constraint: CliqueConstraint, v: int, d: int) -> int:
     """Rank of the survivor subspace a good colouring class count certifies.
 
     Zero when no good colouring exists at order v, otherwise the class
-    count capped at d - 1.  Orders beyond the canonical labelling budget
-    raise :class:`BudgetError`.
+    count capped at d - 1.  The count comes from the frontier walk, so an
+    order past the canonical labelling budget is fine when the frontier
+    empties first: ``survivor_rank(CliqueConstraint(2, 13), 13, d)`` is 0.
+    When the walk has to label a good colouring past the budget it raises
+    :class:`BudgetError` carrying the profile of the finished orders.  If
+    that is certain from the start, because n - 1 disjoint red K_{m-1}
+    joined by blue edges give a good colouring of every order up to
+    (m - 1)(n - 1), it raises at once, with no partial profile.
     """
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if v > _CANONICAL_V_BUDGET:
+    certain = (constraint.m - 1) * (constraint.n - 1) > _CANONICAL_V_BUDGET
+    if v > _CANONICAL_V_BUDGET and certain:
         raise BudgetError(
             f"survivor_rank needs canonical labelling at v={v}, "
             f"budget is v <= {_CANONICAL_V_BUDGET}", partial=None)

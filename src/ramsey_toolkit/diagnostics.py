@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -232,11 +232,21 @@ def sample_directions(d: int, k: int, seed: int) -> DirectionBatch:
 
     Row-normalised standard Gaussians; requires d >= 2 and k >= 1.
     """
+    return _draw_directions(d, k, seed, 0)
+
+
+def _draw_directions(d: int, k: int, seed: int, zeroed: int) -> DirectionBatch:
+    """The seeded draw behind every embedding.
+
+    k rows of standard Gaussians in R^d from ``default_rng(seed)``, the
+    first ``zeroed`` coordinates set to zero, each row then normalised.
+    """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = np.random.default_rng(seed).normal(loc=0.0, scale=1.0, size=(k, d))
+    g[:, :zeroed] = 0.0
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     if not np.all(norms > 0):
         raise RuntimeError("degenerate zero-norm draw")
@@ -391,56 +401,28 @@ class ConstraintRestricted:
     Rank 0 reproduces the unrestricted draw and collapses fully.
     """
 
-    def __init__(self, rank_profile: Mapping[int, int] | Callable[[int], int]):
-        if callable(rank_profile):
-            self._rank_of = rank_profile
-        else:
-            profile = dict(rank_profile)
-            self._rank_of = profile.__getitem__
-
-    def rank(self, n: int) -> int:
-        return int(self._rank_of(n))
+    def __init__(self, rank_profile: Mapping[int, int]):
+        self._ranks = dict(rank_profile)
 
     def batch(self, d: int, k: int, seed: int, n: int) -> DirectionBatch:
-        if d < 2 or k < 1:
-            raise ValueError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
-        r = self.rank(n)
+        r = int(self._ranks[n])
         if not (0 <= r < d):
             raise ValueError(f"rank profile must satisfy 0 <= r < d, got {r}")
-        g = np.random.default_rng(seed).normal(loc=0.0, scale=1.0, size=(k, d))
-        g[:, :r] = 0.0
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        if not np.all(norms > 0):
-            raise RuntimeError("degenerate zero-norm draw")
-        return DirectionBatch(d=d, k=k, seed=seed, vectors=g / norms)
-
-
-def _resolve_embedding(embedding) -> Any:
-    if embedding is None or embedding == "seed-schedule":
-        return SeedSchedule()
-    if isinstance(embedding, str):
-        raise ValueError(
-            f"unknown embedding {embedding!r}; pass 'seed-schedule' or an "
-            f"object with a batch(d, k, seed, n) method")
-    if not hasattr(embedding, "batch"):
-        raise ValueError("embedding must provide a batch(d, k, seed, n) method")
-    return embedding
-
-
-_DEFAULT_ALPHAS = (3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 40.0)
-_DEFAULT_SEEDS = (11, 23, 42, 73, 101, 137, 211, 307, 401, 509)
+        return _draw_directions(d, k, seed, r)
 
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
-    """Sweep configuration: geometry, alpha grid, seed ensemble, embedding."""
+    """Sweep configuration: geometry (d, k), alpha grid and seed ensemble.
+
+    The defaults are the standard grid and ensemble that ``diag`` uses.
+    The embedding is chosen per call of :func:`run_diagnostics`.
+    """
 
     d: int = 24
     k: int = 100
-    alpha_grid: tuple[float, ...] = _DEFAULT_ALPHAS
-    seeds: tuple[int, ...] = _DEFAULT_SEEDS
-    embedding: Any = "seed-schedule"
-    thresholds: "DecisionThresholds | None" = None
+    alpha_grid: tuple[float, ...] = (3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 40.0)
+    seeds: tuple[int, ...] = (11, 23, 42, 73, 101, 137, 211, 307, 401, 509)
 
     def __post_init__(self):
         if self.d < 2:
@@ -461,7 +443,12 @@ class DiagnosticsConfig:
 
 @dataclass(frozen=True)
 class DecisionThresholds:
-    """Criticality gates; unset fields fall back to config-derived defaults."""
+    """Criticality gates for :func:`decide_critical`.
+
+    Unset gates fall back to defaults taken from the record being judged:
+    ``tau_exp_log10`` to the log-midpoint between the mean-field trace and
+    1 at the record's (d, k, alpha), ``tau_lin`` to no linear gate.
+    """
 
     tau_exp_log10: float | None = None
     tau_lin: float | None = None
@@ -540,45 +527,46 @@ def _seed_mean(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=0)[-1] / len(values)
 
 
-def _failed_record(config: DiagnosticsConfig, n: int,
-                   exc: Exception) -> DiagnosticsRecord:
-    """NaN witnesses for an order whose numerics failed, with the reason."""
-    nan = float("nan")
-    return DiagnosticsRecord(
-        n=n, d=config.d, k=config.k, alpha=config.alpha_grid[-1],
-        log10_tr_exp=nan, tr_lin=nan, min_re=nan, max_im=nan, slope=nan,
-        lambda_L=nan, rho_H=nan, critical=None,
-        error=f"{type(exc).__name__}: {exc}")
-
-
 def _record_or_failure(config: DiagnosticsConfig, n: int,
                        embedding) -> DiagnosticsRecord:
+    """The record for order n, or NaN witnesses with the reason if its
+    numerics failed."""
     try:
         return _compute_record(config, n, embedding)
     except np.linalg.LinAlgError as exc:
-        return _failed_record(config, n, exc)
+        nan = float("nan")
+        return DiagnosticsRecord(
+            n=n, d=config.d, k=config.k, alpha=config.alpha_grid[-1],
+            log10_tr_exp=nan, tr_lin=nan, min_re=nan, max_im=nan, slope=nan,
+            lambda_L=nan, rho_H=nan, critical=None,
+            error=f"{type(exc).__name__}: {exc}")
 
 
 def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
                     embedding=None) -> list[DiagnosticsRecord]:
     """One seed-averaged record per graph order, judged for criticality.
 
+    ``embedding`` is any object with a ``batch(d, k, seed, n)`` method that
+    returns a :class:`DirectionBatch`; None means :class:`SeedSchedule`.
     Orders are deduplicated and processed ascending.  A numerical failure
     at one order is captured on its record (``error`` field, NaN witnesses)
-    without aborting the sweep.  Criticality needs both neighbours, so the
-    first and last records always stay indeterminate.
+    without aborting the sweep.  Records are judged by
+    :func:`decide_critical` with its default gates.  Criticality needs both
+    neighbours, so the first and last records always stay indeterminate.
     """
-    resolved = _resolve_embedding(
-        embedding if embedding is not None else config.embedding)
+    if embedding is None:
+        embedding = SeedSchedule()
+    elif not hasattr(embedding, "batch"):
+        raise ValueError("embedding must provide a batch(d, k, seed, n) method")
     orders = sorted(set(int(n) for n in n_values))
     if not orders:
         raise ValueError("n_values must be non-empty")
-    records = [_record_or_failure(config, n, resolved) for n in orders]
+    records = [_record_or_failure(config, n, embedding) for n in orders]
     judged = []
     for idx, record in enumerate(records):
         before = records[idx - 1] if idx > 0 else None
         after = records[idx + 1] if idx + 1 < len(records) else None
-        verdict = decide_critical(record, config.thresholds, (before, after))
+        verdict = decide_critical(record, neighbors=(before, after))
         judged.append(replace(record, critical=verdict))
     return judged
 
@@ -626,13 +614,11 @@ def control_record(coloring, config: DiagnosticsConfig) -> DiagnosticsRecord:
     The control is a fixed colouring of K_v, not a good-colouring witness:
     goodness is not checked, and the am46 fixture contains both a red and a
     blue K_6 (no (5,5)-good colouring of K_46 exists).  The record is
-    evaluated at rank 1, the smallest nonzero survivor rank; the
-    exponential witness then cannot fall below 1 and the record can never
-    be judged critical (it also has no neighbours, so the verdict is
-    indeterminate by construction).  A numerical failure is captured on the
-    record's ``error`` field, as in the sweep.
+    evaluated at rank 1, the smallest nonzero survivor rank, so the
+    exponential witness cannot fall below 1.  The record is never judged:
+    it has no neighbours, so ``critical`` is always None (indeterminate).
+    A numerical failure is captured on the record's ``error`` field, as in
+    the sweep.
     """
-    embedding = ConstraintRestricted({int(coloring.v): 1})
-    record = _record_or_failure(config, int(coloring.v), embedding)
-    verdict = decide_critical(record, config.thresholds, (None, None))
-    return replace(record, critical=verdict)
+    v = int(coloring.v)
+    return _record_or_failure(config, v, ConstraintRestricted({v: 1}))

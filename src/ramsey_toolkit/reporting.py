@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .combinatorics import EdgeColoring, edge_index
+from .combinatorics import EdgeColoring
 
 __all__ = [
     "RESULT_COLUMNS",
@@ -144,8 +144,6 @@ def load_control_coloring(directory) -> EdgeColoring:
                           np.ones((v, v), dtype=np.int64)[off_diagonal]):
         raise ControlComplementError(
             "red and blue matrices are not complementary off the diagonal")
-    bits = [False] * (v * (v - 1) // 2)
-    for i in range(1, v):
-        for j in range(i + 1, v + 1):
-            bits[edge_index(i, j, v)] = bool(red[i - 1, j - 1])
-    return EdgeColoring(v=v, bits=tuple(bits))
+    # triu_indices walks the upper triangle row by row, the edge_index order.
+    bits = red[np.triu_indices(v, 1)].astype(bool)
+    return EdgeColoring(v=v, bits=tuple(bits.tolist()))

@@ -1268,3 +1268,22 @@ class TestCostsAndRanks:
             survivor_rank(CliqueConstraint(5, 5), 13, 24)
         with pytest.raises(ValueError):
             survivor_rank(CliqueConstraint(3, 3), 5, 1)
+
+    def test_survivor_rank_past_budget_when_frontier_empties(self):
+        # Only the all-blue colouring avoids a red edge, and it dies at 13.
+        assert survivor_rank(CliqueConstraint(2, 13), 13, 24) == 0
+
+    def test_survivor_rank_budget_carries_walk_partial(self):
+        with pytest.raises(BudgetError) as info:
+            survivor_rank(CliqueConstraint(3, 5), 13, 24)
+        assert info.value.partial[-1] == (12, 12)
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 5), (4, 4), (5, 5)])
+    def test_disjoint_red_cliques_are_good(self, m, n):
+        # The construction survivor_rank relies on to refuse up front:
+        # n - 1 red K_{m-1}, all edges between them blue.
+        v = (m - 1) * (n - 1)
+        edges = [(i, j) for i in range(1, v + 1) for j in range(i + 1, v + 1)
+                 if (i - 1) // (m - 1) == (j - 1) // (m - 1)]
+        coloring = coloring_from_red_edges(v, edges)
+        assert not has_forbidden_clique(coloring, CliqueConstraint(m, n))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import threading
@@ -469,6 +470,22 @@ class TestRunDiagnostics:
         assert record.slope == pytest.approx(expected, rel=1e-12)
         assert math.isfinite(record.slope)
 
+    def test_default_embedding_is_seed_schedule(self):
+        config = DiagnosticsConfig(d=12, k=30, alpha_grid=(1.0, 4.0),
+                                   seeds=(3, 5))
+        orders = (4, 5, 6)
+        assert (run_diagnostics(config, orders)
+                == run_diagnostics(config, orders, SeedSchedule()))
+
+    @pytest.mark.parametrize("embedding", [object(), "seed-schedule"])
+    def test_embedding_without_batch_is_rejected(self, embedding):
+        with pytest.raises(ValueError, match="batch"):
+            run_diagnostics(DiagnosticsConfig(), (4,), embedding)
+
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(DiagnosticsConfig)] == [
+            "d", "k", "alpha_grid", "seeds"]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DiagnosticsConfig(d=1)
@@ -582,6 +599,6 @@ class TestControlRecord:
         config = DiagnosticsConfig(d=24, k=100, seeds=(11, 23))
         record = control_record(coloring, config)
         assert record.n == 46
-        assert record.critical is not True
+        assert record.critical is None
         # Certified rank-1 survivor pins the exponential witness at >= 1.
         assert record.log10_tr_exp >= -1e-9

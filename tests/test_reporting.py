@@ -106,6 +106,19 @@ class TestLoadControlColoring:
         assert coloring.v == 3
         assert coloring.is_red(1, 2) and not coloring.is_red(1, 3)
 
+    def test_bits_follow_edge_index(self, tmp_path):
+        rng = np.random.default_rng(5)
+        red = np.triu(rng.integers(0, 2, size=(7, 7)), 1)
+        red = red + red.T
+        blue = 1 - red - np.eye(7, dtype=red.dtype)
+        write_pair(tmp_path,
+                   [",".join(map(str, row)) for row in red],
+                   [",".join(map(str, row)) for row in blue])
+        coloring = load_control_coloring(tmp_path)
+        assert all(coloring.is_red(i, j) == bool(red[i - 1, j - 1])
+                   for i in range(1, 8) for j in range(i + 1, 8))
+        assert all(type(bit) is bool for bit in coloring.bits)
+
     def test_whitespace_separation_and_header(self, tmp_path):
         write_pair(tmp_path,
                    ["# red adjacency", "0 1", "1 0"],
