@@ -1,18 +1,21 @@
 """Exact small-order Ramsey combinatorics: cliques, gluing, canonical forms.
 
 Public two-colourings of complete graphs are bit vectors over the
-row-major upper triangle (true = red).  One clique kernel serves both
-exact routes: ``_avoiding`` returns the ``uint32`` masks that contain no red
-clique mask and meet every blue one, dropping dead masks after each clique
-test.  The existence sweep runs it depth-first over labelled colourings
-grown one vertex row at a time, against the cliques through each new row's
-vertex.  The glue walk runs it over each parent's 2^v new-vertex
-assignments against the clique vertex masks ``_cliques`` yields and stores
-colourings as red-adjacency masks, each beside generators of its
-automorphism group.  The walk grows classes by canonical augmentation: a
-child is kept only when its new vertex is canonical, and most children
-are rejected by degree, by the parent's automorphism orbits (one
-assignment per orbit is tried) and by colour before any key is computed.
+row-major upper triangle (true = red).  The two exact routes test cliques
+in different forms.  The existence sweep grows labelled colourings one
+vertex row at a time, depth-first, and ``_avoiding`` keeps the ``uint32``
+edge masks that contain no red clique mask through each new row's vertex
+and meet every blue one, dropping dead masks after each clique test.  The
+glue walk stores colourings as red-adjacency masks, each beside
+generators of its automorphism group, and filters each parent's 2^v
+new-vertex assignments at once: an int of 2^v bits is the truth table of
+a set of assignments, one recursion over the parent's cliques ORs the
+table of the assignments that hold a red clique with that of the ones
+that miss a blue clique, and the assignments left are the good ones.  The
+walk grows classes by canonical augmentation: a child is kept only when
+its new vertex is canonical, and most children are rejected by degree, by
+the parent's automorphism orbits (one assignment per orbit is tried) and
+by colour before any key is computed.
 Every child that passes is then a new class, so nothing is deduplicated.
 A big level forks one worker process per usable core after the first;
 each computes a share of the parents from the memory it inherited while
@@ -56,10 +59,10 @@ __all__ = [
     "survivor_rank",
 ]
 
-# Direct enumeration cap (v <= 8): the clique kernel holds masks as uint32,
-# so a swept colouring's edge count and the walk's parent orders (below
-# _CANONICAL_V_BUDGET) must both stay at most 32 bits.  Past it, callers
-# take the glue-and-prune route instead.
+# Direct enumeration cap (v <= 8): the sweep's clique kernel holds edge
+# masks as uint32, so a swept colouring's edge count must stay at most 32
+# bits.  Past it, callers take the glue-and-prune route instead, whose
+# bound is its assignment truth tables: 2^v bits per table, 16 KB at v = 17.
 _ENUM_EDGE_BUDGET = 28
 
 # Canonical labelling cap; the search is exact but has a factorial worst case
@@ -67,12 +70,13 @@ _ENUM_EDGE_BUDGET = 28
 _CANONICAL_V_BUDGET = 12
 
 # Walk levels with at least this many parents fork one worker process per
-# usable core after the first.  On a 2-core x86-64 VM (medians of 21 alternating
-# runs, two sessions), the 71-parent (3,5) level took 25-27 ms serially and
-# 18 ms forked and the 84-parent (4,4) level 32-33 ms and 25 ms, while the
-# 24- and 32-parent levels took 6-10 ms either way and the 13-parent level
-# 3.4 ms serially and 4.5 ms forked: a fork costs a few ms, so levels below
-# this cut-off gain nothing measurable.
+# usable core after the first.  On a 2-core x86-64 VM (medians of 21
+# alternating serial and two-way forked _next_frontier calls, two runs), the
+# 71-parent (3,5) level took 11.6-12.1 ms serially and 7.7-8.1 ms forked and
+# the 84-parent (4,4) level 16.2-17.5 ms and 12.2-12.5 ms, while the 24- and
+# 32-parent levels took 3.4-3.9 ms either way and the 13-parent level
+# 1.5 ms serially and 2.4-2.6 ms forked: a fork costs about a millisecond,
+# so levels below this cut-off gain nothing measurable.
 _PARALLEL_MIN_PARENTS = 64
 
 # Most candidates the enumeration sweep hands the clique kernel at once.
@@ -288,19 +292,58 @@ def exists_good_coloring(v: int, constraint: CliqueConstraint,
     return _walk(constraint, v)[-1][1] > 0
 
 
+@cache
+def _assignment_tables(v: int) -> tuple[int, tuple[int, ...],
+                                        tuple[int, ...]]:
+    """Truth tables over the 2^v assignments of a new vertex to ``v``
+    parent vertices, each an int whose bit ``a`` stands for assignment
+    ``a``: the table of every assignment, and per vertex ``u`` the tables
+    of the assignments that hold ``u`` and of those that miss it."""
+    every = (1 << (1 << v)) - 1
+    # Bit u of a is set on runs of 2^u ones after 2^u zeros; dividing the
+    # all-ones table by one period's all-ones gives a 1 at each period.
+    holds = tuple(every // ((1 << (2 << u)) - 1)
+                  * (((1 << (1 << u)) - 1) << (1 << u)) for u in range(v))
+    return every, holds, tuple(every ^ t for t in holds)
+
+
+def _clique_table(adj, size: int, within: int, sub: int, tables) -> int:
+    """The assignments of table ``sub`` that, read through the per-vertex
+    ``tables``, take in every vertex of some ``size``-clique of ``adj``
+    inside ``within``; size 0 gives ``sub``.  Branches like
+    :func:`_cliques` and drops a branch once no assignment is left."""
+    if size <= 0:
+        return sub
+    out = 0
+    while within.bit_count() >= size:
+        low = within & -within
+        within ^= low
+        u = low.bit_length() - 1
+        rest = sub & tables[u]
+        if rest:
+            out |= _clique_table(adj, size - 1, within & adj[u], rest, tables)
+    return out
+
+
 def _good_assignments(red, constraint: CliqueConstraint) -> list[int]:
     """Ascending assignments ``a`` that extend ``red`` to a good colouring.
 
     Assignment ``a`` makes the new vertex red-adjacent to the vertices set
     in ``a``; it is good when it holds no red (m-1)-clique of the parent
-    and meets every blue (n-1)-clique.  One :func:`_avoiding` call over the
-    2^v assignments as ``uint32`` returns exactly these survivors.
+    and meets every blue (n-1)-clique.  Both tests run on truth tables of
+    2^v bits (:func:`_assignment_tables`): the table of assignments that
+    hold a red clique, then, among the rest, of those that miss a blue
+    one.  The set bits of what is left are the good assignments.
     """
     v = len(red)
     full = (1 << v) - 1
-    return _avoiding(np.arange(1 << v, dtype=np.uint32),
-                     _cliques(red, constraint.m - 1, full),
-                     _cliques(_blue(red), constraint.n - 1, full)).tolist()
+    every, holds, misses = _assignment_tables(v)
+    bad = _clique_table(red, constraint.m - 1, full, every, holds)
+    bad |= _clique_table(_blue(red), constraint.n - 1, full, every ^ bad,
+                         misses)
+    good = (every ^ bad).to_bytes(((1 << v) + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(good, dtype=np.uint8),
+                                        bitorder="little")).tolist()
 
 
 def _extend(red, a: int) -> tuple[int, ...]:
@@ -427,21 +470,35 @@ def _forked_children(frontier, constraint: CliqueConstraint,
 
     Each worker reads its share from the memory it inherited and pickles
     ``("ok", children)`` or ``("error", exception, traceback text)`` into
-    its own pipe before ``os._exit``.  A worker's exception is raised here
-    with the worker's traceback as its cause; a worker that ends without a
-    result or with a non-zero status raises :class:`RuntimeError`.  Every
-    worker still running when this returns or raises is killed and reaped.
+    its own pipe before ``os._exit``.  If ``os.pipe`` or ``os.fork`` fails,
+    this process also computes every share left without a worker.  A
+    worker's exception is raised here with the worker's traceback as its
+    cause; a worker that ends without a result or with a non-zero status
+    raises :class:`RuntimeError`.  Every worker still running when this
+    returns or raises is killed and reaped.
     """
     pipes = {}
+    own = [0]
     try:
         for share in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
+            try:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+            except OSError:
+                own += range(share, workers)
+                break
             if pid == 0:
                 _run_share(read, write, frontier[share::workers], constraint)
             os.close(write)
             pipes[pid] = os.fdopen(read, "rb")
-        children = _children(frontier[::workers], constraint)
+        children = _children([parent for share in own
+                              for parent in frontier[share::workers]],
+                             constraint)
         for pid, pipe in list(pipes.items()):
             with pipe:
                 try:
@@ -497,7 +554,8 @@ def _walk(constraint: CliqueConstraint,
     ``_PARALLEL_MIN_PARENTS`` parents forks one worker process per usable
     core after the first, and every worker has ended when the level
     returns or raises.  With one core or without ``fork`` the walk runs
-    serially.
+    serially, and a level whose workers cannot all be started computes
+    the shares without one in this process.
     """
     frontier = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(frontier))]

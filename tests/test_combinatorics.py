@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import math
@@ -65,7 +66,7 @@ def _reference_has_clique(adj, vertex_count: int, size: int,
 
 def _reference_next_frontier(frontier, constraint):
     """The glue walk's level step with one clique recursion per assignment,
-    kept as the oracle for the shared subset-mask kernel."""
+    kept as the oracle for the truth-table assignment filter."""
     classes = {}
     for red in frontier:
         v = len(red)
@@ -97,6 +98,29 @@ def _reference_avoiding(masks, inside, meet):
         if not good.any():
             break
     return good
+
+
+def _reference_good_assignments(red, constraint) -> list[int]:
+    """The glue walk's assignment filter before truth tables: one
+    :func:`combinatorics._avoiding` pass over the 2^v assignments as
+    ``uint32`` per red (m-1)-clique and blue (n-1)-clique."""
+    v = len(red)
+    full = (1 << v) - 1
+    return combinatorics._avoiding(
+        np.arange(1 << v, dtype=np.uint32),
+        combinatorics._cliques(red, constraint.m - 1, full),
+        combinatorics._cliques(combinatorics._blue(red), constraint.n - 1,
+                               full)).tolist()
+
+
+def _random_red(v: int, density: float, rng) -> list[int]:
+    """Red adjacency masks of a random colouring of K_v."""
+    red = [0] * v
+    for i, j in itertools.combinations(range(v), 2):
+        if rng.random() < density:
+            red[i] |= 1 << j
+            red[j] |= 1 << i
+    return red
 
 
 def _reference_exists(v: int, constraint) -> bool:
@@ -495,6 +519,78 @@ class TestAvoiding:
             _counting([0b11, 0b01, 0b10, 0b100, 0b1000], meet_reads))
         assert got.size == 0
         assert meet_reads == [0b11, 0b01, 0b10, 0b100]
+
+
+# Sizes from 1 up, with m or n in {1, 2} (no assignment is good when either
+# is 1, and a single clique vertex decides it when either is 2).
+_FILTER_CONSTRAINTS = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 2),
+                       (3, 3), (3, 4), (4, 3), (4, 4), (3, 5), (5, 5)]
+
+
+class TestGoodAssignments:
+    """The walk's truth-table filter against the per-clique numpy one."""
+
+    @pytest.mark.parametrize("v", range(1, 14))
+    def test_matches_reference(self, v):
+        rng = np.random.default_rng(1900 + v)
+        bad = 0
+        for m, n in _FILTER_CONSTRAINTS:
+            constraint = CliqueConstraint(m, n)
+            for density in (0.15, 0.5, 0.85):
+                red = _random_red(v, density, rng)
+                bad += combinatorics._has_forbidden(red, constraint)
+                assert combinatorics._good_assignments(red, constraint) == \
+                    _reference_good_assignments(red, constraint)
+        # Parents that are not good themselves are filtered the same way.
+        assert bad > 0
+
+    def test_matches_reference_at_v16(self):
+        rng = np.random.default_rng(1916)
+        red = _random_red(16, 0.5, rng)
+        constraint = CliqueConstraint(5, 5)
+        got = combinatorics._good_assignments(red, constraint)
+        assert got and len(got) < 1 << 16
+        assert got == _reference_good_assignments(red, constraint)
+
+    def test_walk_parents_match_reference(self):
+        # Both tables matter here: red and blue cliques each reject some
+        # assignments of these parents, and some assignments survive.
+        for (m, n), v_max in [((3, 5), 9), ((4, 4), 7)]:
+            constraint = CliqueConstraint(m, n)
+            frontier = [((0,), ())]
+            while len(frontier[0][0]) < v_max:
+                for red, _ in frontier:
+                    assert combinatorics._good_assignments(
+                        red, constraint) == _reference_good_assignments(
+                            red, constraint)
+                frontier = combinatorics._next_frontier(frontier, constraint)
+
+    def test_small_tables(self):
+        # At v <= 3 the table fits in the one byte it is read from.
+        red_edge = [0b10, 0b01]
+        assert combinatorics._good_assignments([0], CliqueConstraint(3, 3)) \
+            == [0, 1]
+        assert combinatorics._good_assignments([0], CliqueConstraint(2, 2)) \
+            == []
+        assert combinatorics._good_assignments(
+            red_edge, CliqueConstraint(3, 3)) == [0, 1, 2]
+        assert combinatorics._good_assignments(
+            [0, 0], CliqueConstraint(3, 2)) == [3]
+        assert combinatorics._good_assignments(
+            [0, 0], CliqueConstraint(2, 4)) == [0]
+        assert combinatorics._good_assignments(
+            [0, 0, 0], CliqueConstraint(2, 3)) == []
+
+    @pytest.mark.parametrize("v", range(0, 9))
+    def test_tables_bit_by_bit(self, v):
+        every, holds, misses = combinatorics._assignment_tables(v)
+        assert every == (1 << (1 << v)) - 1
+        assert len(holds) == len(misses) == v
+        for u in range(v):
+            for a in range(1 << v):
+                assert holds[u] >> a & 1 == a >> u & 1
+                assert misses[u] >> a & 1 == 1 - (a >> u & 1)
+            assert holds[u] >> (1 << v) == misses[u] >> (1 << v) == 0
 
 
 class TestExistence:
@@ -1152,6 +1248,36 @@ class TestParallelWalk:
         # The child's traceback is chained as the cause.
         assert "in _children" in str(child_error.__cause__)
         self.assert_no_children()
+
+    @pytest.mark.parametrize("call,failing", [
+        ("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 2)])
+    def test_failed_fork_computes_share_here(self, call, failing,
+                                             monkeypatch):
+        # Each level of three workers forks twice; the ``failing``-th
+        # os.fork or os.pipe call of every level raises EAGAIN, and the
+        # shares left without a worker are computed in this process.
+        real = getattr(os, call)
+        calls = []
+
+        def refusing():
+            calls.append(None)
+            if len(calls) == failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, call, refusing)
+        constraint = CliqueConstraint(3, 5)
+        fds = len(os.listdir("/proc/self/fd"))
+        serial = forked = [((0,), ())]
+        for _ in range(9):
+            calls.clear()
+            forked = combinatorics._next_frontier(forked, constraint, 3)
+            serial = combinatorics._next_frontier(serial, constraint)
+            assert len(calls) == failing
+            assert forked == serial
+            self.assert_no_children()
+        assert len(forked) == 313
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_dead_worker_raises(self):
         # A child that exits mid-level must fail the walk, not hang it;
