@@ -8,8 +8,11 @@ import itertools
 import math
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -1185,8 +1188,9 @@ _R35_V10 = ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71),
 
 
 class TestParallelWalk:
-    """Big levels fork one child per extra core; the output must not show
-    it, and no child may outlive its level."""
+    """A walk with a big level forks one pool of workers, one per extra
+    core; the output must not show it, and no worker may outlive the
+    walk."""
 
     @staticmethod
     def assert_no_children():
@@ -1194,33 +1198,91 @@ class TestParallelWalk:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.fixture
+    def time_limit(self):
+        # A pool that deadlocks fails the test instead of hanging the run;
+        # the walk's ``finally`` kills the workers on the way out.
+        def expire(signum, frame):
+            raise TimeoutError("pooled walk still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def record_levels(monkeypatch) -> list:
+        """Record ``(frontier, pool, its worker count, next frontier)`` of
+        every level."""
+        next_frontier = combinatorics._next_frontier
+        recorded = []
+
+        def recording(frontier, constraint, pool=None):
+            out = next_frontier(frontier, constraint, pool)
+            recorded.append((frontier, pool,
+                             None if pool is None else len(pool.workers),
+                             out))
+            return out
+
+        monkeypatch.setattr(combinatorics, "_next_frontier", recording)
+        return recorded
+
     @pytest.mark.parametrize("m,n,v_max,final", [
         (3, 5, 12, (12, 12)), (4, 4, 8, (8, 2079))],
         ids=["r35_v12", "r44_v8"])
     def test_parallel_matches_serial(self, m, n, v_max, final, monkeypatch):
-        next_frontier = combinatorics._next_frontier
         levels = {}
         for cutoff in (0, _NEVER):
             monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS",
                                 cutoff)
-            recorded = []
-
-            def recording(frontier, constraint, workers=1):
-                out = next_frontier(frontier, constraint, workers)
-                recorded.append((workers > 1, out))
-                return out
-
-            monkeypatch.setattr(combinatorics, "_next_frontier", recording)
+            recorded = self.record_levels(monkeypatch)
             profile = frontier_profile(CliqueConstraint(m, n), v_max)
             assert profile[-1] == final
             self.assert_no_children()
-            levels[cutoff] = recorded
+            levels[cutoff] = [(bool(workers), out)
+                              for _, _, workers, out in recorded]
+            monkeypatch.undo()
         forked = len(os.sched_getaffinity(0)) > 1
         assert all(used == forked for used, _ in levels[0])
         assert not any(used for used, _ in levels[_NEVER])
         # Representatives with their generators, not only their keys.
         assert [out for _, out in levels[0]] == \
             [out for _, out in levels[_NEVER]]
+
+    @pytest.mark.parametrize("processes", [3, 4])
+    def test_pools_larger_than_the_core_count(self, processes, monkeypatch,
+                                              time_limit):
+        # More processes than this box may have cores, and the first levels
+        # have fewer parents (1, 2, 3) than processes: every level must
+        # still equal the serial one, and the one pool serves them all.
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(processes)))
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        serial = combinatorics._next_frontier
+        for m, n, v_max, final in ((3, 5, 10, (10, 313)),
+                                   (4, 4, 7, (7, 362))):
+            constraint = CliqueConstraint(m, n)
+            recorded = self.record_levels(monkeypatch)
+            assert frontier_profile(constraint, v_max)[-1] == final
+            self.assert_no_children()
+            assert len({id(pool) for _, pool, _, _ in recorded}) == 1
+            for frontier, _, workers, out in recorded:
+                assert workers == processes - 1
+                assert out == serial(frontier, constraint)
+
+    def test_pipe_buf_bounds_the_pool(self, monkeypatch, time_limit):
+        # A PIPE_BUF that holds the tokens of two processes, no more: a
+        # four-core pool starts one worker, and the walk is unchanged.
+        tokens = 2 * (combinatorics._CHUNKS_PER_PROCESS + 1)
+        monkeypatch.setattr(os, "fpathconf",
+                            lambda fd, name: 3 * tokens - 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        recorded = self.record_levels(monkeypatch)
+        assert frontier_profile(CliqueConstraint(3, 5), 10) == _R35_V10
+        assert {workers for _, _, workers, _ in recorded} == {1}
+        self.assert_no_children()
 
     def test_budget_error_in_worker(self, monkeypatch):
         # Forked children inherit the patched labelling and cut-off, so
@@ -1249,13 +1311,38 @@ class TestParallelWalk:
         assert "in _children" in str(child_error.__cause__)
         self.assert_no_children()
 
-    @pytest.mark.parametrize("call,failing", [
-        ("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 2)])
-    def test_failed_fork_computes_share_here(self, call, failing,
+    def test_budget_error_in_own_chunk(self, monkeypatch, time_limit):
+        # This process's chunks of the v=11 level raise while the workers'
+        # succeed: the partial profile survives and every worker is reaped.
+        main = os.getpid()
+        adjacency_key = combinatorics._adjacency_key
+
+        def budget_here(red, *args):
+            if os.getpid() == main and len(red) > 10:
+                raise BudgetError("labelling budget exceeded here")
+            return adjacency_key(red, *args)
+
+        monkeypatch.setattr(combinatorics, "_adjacency_key", budget_here)
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BudgetError) as info:
+            frontier_profile(CliqueConstraint(3, 5), 11)
+        assert info.value.partial == _R35_V10
+        assert "exceeded here" in str(info.value.__cause__)
+        self.assert_no_children()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("call,failing,workers", [
+        ("fork", 1, 0), ("fork", 2, 1), ("pipe", 1, 0), ("pipe", 2, 0),
+        ("pipe", 3, 0), ("pipe", 4, 1)],
+        ids=["fork-1", "fork-2", "pipe-1", "pipe-2", "pipe-3", "pipe-4"])
+    def test_failed_fork_computes_share_here(self, call, failing, workers,
                                              monkeypatch):
-        # Each level of three workers forks twice; the ``failing``-th
-        # os.fork or os.pipe call of every level raises EAGAIN, and the
-        # shares left without a worker are computed in this process.
+        # A pool of three processes makes its token pipe, then two pipes and
+        # a fork per worker.  The ``failing``-th os.fork or os.pipe call of
+        # the walk raises EAGAIN; the pool keeps the ``workers`` it started,
+        # and this process claims the chunks they leave.
         real = getattr(os, call)
         calls = []
 
@@ -1266,17 +1353,21 @@ class TestParallelWalk:
             return real()
 
         monkeypatch.setattr(os, call, refusing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         constraint = CliqueConstraint(3, 5)
         fds = len(os.listdir("/proc/self/fd"))
-        serial = forked = [((0,), ())]
-        for _ in range(9):
-            calls.clear()
-            forked = combinatorics._next_frontier(forked, constraint, 3)
-            serial = combinatorics._next_frontier(serial, constraint)
-            assert len(calls) == failing
-            assert forked == serial
-            self.assert_no_children()
-        assert len(forked) == 313
+        serial = combinatorics._next_frontier
+        recorded = self.record_levels(monkeypatch)
+        assert frontier_profile(constraint, 10) == _R35_V10
+        # The pool is started once, at the first level, and stops at the
+        # failed call.
+        assert len(calls) == failing
+        self.assert_no_children()
+        assert len(recorded) == 9
+        for frontier, _, started, out in recorded:
+            assert started == workers
+            assert out == serial(frontier, constraint)
         assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_dead_worker_raises(self):
@@ -1312,14 +1403,43 @@ except RuntimeError as exc:
         else:
             assert result.stdout == "(8, 179)\n"
 
+    def test_worker_killed_between_levels_raises(self, monkeypatch,
+                                                 time_limit):
+        # Sending the next level to a worker that has died must fail the
+        # walk with the worker's status, not with a BrokenPipeError, which
+        # the CLI takes for a closed stdout.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        next_frontier = combinatorics._next_frontier
+
+        def killing(frontier, constraint, pool=None):
+            if len(frontier) == 7:
+                pid = next(iter(pool.workers))
+                os.kill(pid, signal.SIGKILL)
+                # Wait for the death without reaping: the pool reaps.
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            return next_frontier(frontier, constraint, pool)
+
+        monkeypatch.setattr(combinatorics, "_next_frontier", killing)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RuntimeError, match=r"^glue worker \d+ ended "
+                           r"with status -9 without its children$"):
+            frontier_profile(CliqueConstraint(3, 5), 8)
+        self.assert_no_children()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
     def test_error_in_own_share_kills_child(self, tmp_path, monkeypatch):
-        # The child sleeps until it is killed, and this process's share
-        # raises once the child is running: the walk must kill and reap the
-        # child rather than wait for it.
+        # From the 3-parent level on, the worker sleeps in the first chunk
+        # it claims until it is killed, and this process's chunk raises
+        # once the worker is asleep: the walk must kill and reap the worker
+        # rather than wait for it.
         main = os.getpid()
         started = tmp_path / "started"
+        children = combinatorics._children
 
         def share(parents, constraint):
+            if len(parents[0][0]) < 3:
+                return children(parents, constraint)
             if os.getpid() != main:
                 (tmp_path / "pid").write_text(str(os.getpid()))
                 os.replace(tmp_path / "pid", started)
@@ -1339,6 +1459,122 @@ except RuntimeError as exc:
         self.assert_no_children()
         with pytest.raises(ProcessLookupError):
             os.kill(int(started.read_text()), 0)
+
+    @pytest.mark.parametrize("stall", ["chunk", "tokens"])
+    def test_killed_main_leaves_no_worker(self, stall):
+        # The main process stops, in its own chunk of the 32-parent level
+        # or before it writes the first level's tokens, and is killed with
+        # SIGKILL.  Its workers must then see end of file on the frontier
+        # or the token pipe and exit, not wait or spin for ever.
+        script = """
+import os, sys, time
+from ramsey_toolkit import CliqueConstraint, combinatorics, frontier_profile
+
+MAIN = os.getpid()
+fork, write, children = os.fork, os.write, combinatorics._children
+
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print("worker", pid, flush=True)
+    return pid
+
+def stall():
+    print("stalled", flush=True)
+    time.sleep(120)
+
+def stalling_children(parents, constraint):
+    if os.getpid() == MAIN and len(parents[0][0]) == 6:
+        stall()
+    return children(parents, constraint)
+
+def stalling_write(fd, data):
+    # Only the token write ends in end markers (0xFFFF).
+    if os.getpid() == MAIN and bytes(data[-6:]) == b"\\xff" * 6:
+        stall()
+    return write(fd, data)
+
+os.fork = announcing_fork
+if sys.argv[1] == "chunk":
+    combinatorics._children = stalling_children
+else:
+    os.write = stalling_write
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+combinatorics._PARALLEL_MIN_PARENTS = 0
+frontier_profile(CliqueConstraint(3, 5), 10)
+"""
+        proc = subprocess.Popen([sys.executable, "-c", script, stall],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT)
+        try:
+            out = b""
+            deadline = time.monotonic() + 60
+            while b"stalled\n" not in out:
+                ready, _, _ = select.select([proc.stdout], [], [],
+                                            max(0, deadline - time.monotonic()))
+                chunk = os.read(proc.stdout.fileno(), 4096) if ready else b""
+                assert chunk, out.decode()
+                out += chunk
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        workers = [int(pid) for pid in re.findall(rb"^worker (\d+)$", out,
+                                                   re.MULTILINE)]
+        assert len(workers) == 2, out.decode()
+
+        def alive(pid):
+            # An orphan's zombie is dead, whether or not it is reaped yet.
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] not in \
+                        ("Z", "X")
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if alive(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left
+
+    def test_live_thread_walks_serially(self, monkeypatch, time_limit):
+        # A forked child of a threaded process can deadlock, so a walk
+        # started while another thread is alive never forks; once the
+        # thread has ended, the same walk does.
+        forks = []
+
+        def refusing_fork():
+            forks.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            assert frontier_profile(CliqueConstraint(3, 5), 10) == _R35_V10
+        finally:
+            release.set()
+            helper.join(timeout=60)
+        assert not helper.is_alive()
+        assert forks == []
+        assert frontier_profile(CliqueConstraint(3, 5), 10) == _R35_V10
+        assert len(forks) == 1
+
+    def test_end_of_file_is_not_chunk_zero(self, time_limit):
+        read, write = os.pipe()
+        os.close(write)
+        try:
+            with pytest.raises(EOFError):
+                combinatorics._claimed_children([((0,), ())], 1, read,
+                                                CliqueConstraint(3, 5))
+        finally:
+            os.close(read)
 
 
 class TestGraded:
