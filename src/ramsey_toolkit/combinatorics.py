@@ -17,15 +17,15 @@ its new vertex is canonical, and most children are rejected by degree, by
 the parent's automorphism orbits (one assignment per orbit is tried) and
 by colour before any key is computed.
 Every child that passes is then a new class, so nothing is deduplicated.
-At its first big level a walk forks one pool of worker processes, one per
-usable core after the first, which serves that level and every later one:
-each level is sent to the workers, and they and this process claim
-chunks of its parents from one shared pipe until none is left.  The
-children are merged by key, so the result does not depend on the number
-of cores or on who claimed which chunk.  Canonical labelling refines
-red-degree colours by counting red neighbours per colour cell, then
-searches for the least ordering one colour cell at a time, branching only
-among tied cell members.  The search prunes by the automorphisms it
+At its first big level a walk forks one pool of worker processes
+(``_pool.Pool``), one per usable core after the first, which serves that
+level and every later one: each level is sent to the workers, and they and
+this process claim chunks of its parents from one shared pipe until none
+is left.  The children are merged by key, so the result does not depend on
+the number of cores or on who claimed which chunk.  Canonical labelling
+refines red-degree colours by counting red neighbours per colour cell,
+then searches for the least ordering one colour cell at a time, branching
+only among tied cell members.  The search prunes by the automorphisms it
 finds: it tries one of each pair of twins, jumps back from a leaf equal to
 the least found to the node where the two orderings part, and skips a
 candidate in the orbit of an explored sibling under the automorphisms
@@ -37,15 +37,13 @@ here too.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
+
+from ._pool import Pool, allowed_processes
 
 __all__ = [
     "CliqueConstraint",
@@ -86,19 +84,6 @@ _CANONICAL_V_BUDGET = 12
 # v=10 and the (4,4) walk to v=7 took 60-61 ms together with any cut-off
 # from 3 to 24.  So the pool waits for a level that promises bigger ones.
 _PARALLEL_MIN_PARENTS = 24
-
-# A pooled level is cut into this many chunks of parents per process, or
-# one chunk per parent when there are fewer; chunk i holds every
-# chunks-th parent from the i-th, and each process claims the next chunk
-# whenever it finishes one.  With 4, 8, 16 or 32 chunks per process,
-# two-process levels of 71 to 362 parents took the same time within 10% on
-# the same VM (medians of 21); with p processes, 16 keep each chunk, and
-# so the wait for the last one claimed, at 1/(16 p) of a level.
-_CHUNKS_PER_PROCESS = 16
-
-# Token of the pool's token pipe that ends a process's claims; chunk
-# indices stay below it.
-_END = 0xFFFF
 
 # Most candidates the enumeration sweep hands the clique kernel at once.
 # Small pieces let a satisfiable sweep reach row 1 after a few calls: at
@@ -439,7 +424,7 @@ def _children(parents, constraint: CliqueConstraint) -> list[tuple]:
 
 
 def _next_frontier(frontier, constraint: CliqueConstraint,
-                   pool: _Pool | None = None) -> list[tuple]:
+                   pool: Pool | None = None) -> list[tuple]:
     """Good one-vertex extensions of good colourings, one per canonical
     class, sorted by key.
 
@@ -467,12 +452,12 @@ def _next_frontier(frontier, constraint: CliqueConstraint,
     automorphism of the parent maps one assignment to the other, so after
     test 2 every key is a new class and nothing is deduplicated.  With a
     ``pool``, its processes and this one claim chunks of the parents (see
-    :meth:`_Pool.children`), and the sort by key merges their children,
+    :meth:`Pool.run`), and the sort by key merges their children,
     so the frontier does not depend on the number of processes or on which
     claimed which chunk.
     """
     if pool is not None:
-        children = pool.children(frontier)
+        children = pool.run(frontier)
     else:
         children = _children(frontier, constraint)
     # Keys are distinct, so the sort never compares the colourings; both
@@ -483,179 +468,6 @@ def _next_frontier(frontier, constraint: CliqueConstraint,
     return children
 
 
-def _claimed_children(frontier, chunks: int, tokens: int,
-                      constraint: CliqueConstraint) -> list[tuple]:
-    """:func:`_children` of the chunks of ``frontier`` that this process
-    claims from the ``tokens`` pipe, up to the first end marker.
-
-    Chunk ``i`` of ``chunks`` holds every ``chunks``-th parent from the
-    ``i``-th.  End of file raises :class:`EOFError`: an empty read is not
-    chunk 0.
-    """
-    children = []
-    while True:
-        token = os.read(tokens, 2)
-        if len(token) != 2:
-            raise EOFError("the glue pool's token pipe was closed")
-        chunk = int.from_bytes(token, "little")
-        if chunk == _END:
-            return children
-        children += _children(frontier[chunk::chunks], constraint)
-
-
-class _Pool:
-    """Forked worker processes that share the walk's levels with this one.
-
-    The workers are forked once, from this process's memory, and then
-    serve one level after another.  For each level, this process pickles
-    ``(frontier, chunks)`` into every worker's frontier pipe and writes the
-    chunk indices, then one end marker per process, into the token pipe
-    that all of them read; each process claims chunks until it reads an
-    end marker.  Each worker then pickles ``("ok", children)`` or
-    ``("error", exception, traceback text)`` into its own result pipe.  A
-    worker ends on end of file from either pipe it reads, so it does not
-    outlive this process for long.
-    """
-
-    def __init__(self, constraint: CliqueConstraint, processes: int):
-        """Fork up to ``processes - 1`` workers, fewer if the token pipe's
-        ``PIPE_BUF`` cannot hold a level's tokens for all of them.  If
-        ``os.pipe`` or ``os.fork`` fails, the pool keeps the workers already
-        started, and this process claims what they leave."""
-        self.constraint = constraint
-        self.tokens: tuple[int, ...] = ()
-        self.workers: dict[int, tuple[int, object]] = {}
-        try:
-            try:
-                self.tokens = os.pipe()
-            except OSError:
-                return
-            # One level's tokens, two bytes for each chunk and each end
-            # marker, must fit in PIPE_BUF bytes to be written at once.
-            most = (os.fpathconf(self.tokens[1], "PC_PIPE_BUF")
-                    // (2 * (_CHUNKS_PER_PROCESS + 1)))
-            for _ in range(min(processes, most) - 1):
-                fds: list[int] = []
-                try:
-                    fds += os.pipe()
-                    fds += os.pipe()
-                    pid = os.fork()
-                except OSError:
-                    for fd in fds:
-                        os.close(fd)
-                    break
-                frontiers, frontier_write, result_read, results = fds
-                if pid == 0:
-                    _serve(frontiers, self.tokens[0], results, constraint,
-                           [self.tokens[1], frontier_write, result_read,
-                            *(end for fd, reader in self.workers.values()
-                              for end in (fd, reader.fileno()))])
-                os.close(frontiers)
-                os.close(results)
-                self.workers[pid] = (frontier_write,
-                                     os.fdopen(result_read, "rb"))
-        except BaseException:
-            self.close()
-            raise
-
-    def children(self, frontier) -> list[tuple]:
-        """:func:`_children` of ``frontier``, computed by every process of
-        the pool, in an order that depends on who claimed what.
-
-        A worker's exception is raised here with the worker's traceback as
-        its cause; a worker that ends without a result raises
-        :class:`RuntimeError`.
-        """
-        if not self.workers:
-            return _children(frontier, self.constraint)
-        processes = len(self.workers) + 1
-        chunks = min(len(frontier), _CHUNKS_PER_PROCESS * processes)
-        with memoryview(pickle.dumps((frontier, chunks),
-                                     pickle.HIGHEST_PROTOCOL)) as task:
-            for pid, (fd, _) in list(self.workers.items()):
-                sent = 0
-                try:
-                    while sent < len(task):
-                        sent += os.write(fd, task[sent:])
-                except BrokenPipeError:
-                    raise self._lost(pid) from None
-        # At most PIPE_BUF bytes into an empty pipe: one write that never
-        # blocks and that no reader sees in part.
-        os.write(self.tokens[1], b"".join(
-            i.to_bytes(2, "little")
-            for i in [*range(chunks), *[_END] * processes]))
-        children = _claimed_children(frontier, chunks, self.tokens[0],
-                                     self.constraint)
-        for pid, (_, reader) in list(self.workers.items()):
-            try:
-                result = pickle.load(reader)
-            except (EOFError, pickle.UnpicklingError):
-                raise self._lost(pid) from None
-            if result[0] == "error":
-                raise result[1] from RuntimeError(
-                    f"in glue worker {pid}:\n{result[2]}")
-            children += result[1]
-        return children
-
-    def _lost(self, pid: int) -> RuntimeError:
-        """Reap worker ``pid``, which closed its pipes by ending, and
-        describe it."""
-        fd, reader = self.workers.pop(pid)
-        os.close(fd)
-        reader.close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return RuntimeError(f"glue worker {pid} ended with status {status} "
-                            f"without its children")
-
-    def close(self) -> None:
-        """Kill and reap every worker and close every pipe."""
-        for pid, (fd, reader) in self.workers.items():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-            os.close(fd)
-            reader.close()
-        self.workers.clear()
-        for fd in self.tokens:
-            os.close(fd)
-        self.tokens = ()
-
-
-def _serve(frontiers: int, tokens: int, results: int,
-           constraint: CliqueConstraint, inherited: list[int]):
-    """Body of a worker process of :class:`_Pool`; never returns.
-
-    The worker first closes the ``inherited`` descriptors of the pool's
-    other pipe ends, so that it holds no write end of a pipe it reads and
-    the pool's death is end of file there.
-    """
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        with os.fdopen(frontiers, "rb") as inbox, \
-                os.fdopen(results, "wb") as out:
-            while True:
-                # Only the call holds the frontier, and ``result`` goes
-                # once it is sent, so nothing waits here for the next level.
-                try:
-                    result = "ok", _claimed_children(*pickle.load(inbox),
-                                                     tokens, constraint)
-                except EOFError:
-                    break
-                except BaseException as exc:
-                    import traceback
-                    result = "error", exc, traceback.format_exc()
-                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-                del result
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _walk(constraint: CliqueConstraint,
           v_max: int) -> tuple[tuple[int, int], ...]:
     """Grow the frontier of good canonical classes to order ``v_max``.
@@ -663,26 +475,24 @@ def _walk(constraint: CliqueConstraint,
     Returns the ``(v, count)`` profile, stopping after the first zero.
     Past the canonical labelling budget the :class:`BudgetError` carries
     the profile of the finished orders.  At the first level of at least
-    ``_PARALLEL_MIN_PARENTS`` parents the walk forks a :class:`_Pool` of
+    ``_PARALLEL_MIN_PARENTS`` parents the walk forks a :class:`Pool` of
     one worker per usable core after the first, which computes that level
     and every later one with this process; the pool's workers are killed
-    and reaped however the walk ends.  With one core, without ``fork``, or
-    with a second thread alive (a forked child of a threaded process can
-    deadlock) the walk runs serially, and a pool whose workers cannot all
-    be started works with those it has.
+    and reaped however the walk ends.  When :func:`allowed_processes`
+    forbids a fork (one core, no ``fork``, or a second thread alive) the
+    walk runs serially, and a pool whose workers cannot all be started
+    works with those it has.
     """
     frontier = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(frontier))]
-    cores = (len(os.sched_getaffinity(0))
-             if hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-             else 1)
     pool = None
     try:
         while frontier and len(profile) < v_max:
-            if (pool is None and cores > 1
-                    and len(frontier) >= _PARALLEL_MIN_PARENTS
-                    and threading.active_count() == 1):
-                pool = _Pool(constraint, cores)
+            if pool is None and len(frontier) >= _PARALLEL_MIN_PARENTS:
+                processes = allowed_processes()
+                if processes > 1:
+                    pool = Pool(partial(_children, constraint=constraint),
+                                processes, "glue", "children")
             try:
                 frontier = _next_frontier(frontier, constraint, pool)
             except BudgetError as exc:

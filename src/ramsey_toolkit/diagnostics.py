@@ -14,7 +14,8 @@ compact WY factor I - W^T Y (Schreiber & Van Loan 1989), so an order costs
 about k/d + d stacked matrix products instead of k rank-1 steps.
 
 All randomness flows from explicit integer seeds; records are pure
-functions of (configuration, n).
+functions of (configuration, n), so a sweep computes its orders on a pool
+of forked worker processes when it may fork.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import spectral
+from ._pool import Pool, allowed_processes
 
 __all__ = [
     "MissProbabilityModel",
@@ -147,6 +150,15 @@ def deflation_mc(d: int, k: int, trials: int, seed: int) -> tuple[float, float]:
     draws up to ``_MC_BLOCK`` steps at once into preallocated
     (block, share) buffers and folds them into its residuals with one
     ``np.multiply.reduce``, so memory is O(block * trials) at any k.
+
+    Run with ``OPENBLAS_NUM_THREADS=1``: numpy's default OpenBLAS leaves
+    one extra OS thread after ``import numpy`` on a 2-core x86-64 VM, and
+    then the helper did not overlap at first.  In fresh processes without
+    the variable, the first three rounds of calls at (24, 100), (32, 180)
+    and (32, 220) with 2000 trials took 21-36 ms each, about the 25 ms of
+    the two shares run one after the other, and later rounds 13-15 ms; with
+    it, every round after the first took 13-16 ms.  The package's matrices
+    are at most 48 x 48, so it gains nothing from BLAS threads.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
@@ -542,17 +554,36 @@ def _record_or_failure(config: DiagnosticsConfig, n: int,
             error=f"{type(exc).__name__}: {exc}")
 
 
+def _records(orders, config: DiagnosticsConfig,
+             embedding) -> list[DiagnosticsRecord]:
+    """:func:`_record_or_failure` of each of ``orders``, in turn."""
+    return [_record_or_failure(config, n, embedding) for n in orders]
+
+
 def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
                     embedding=None) -> list[DiagnosticsRecord]:
     """One seed-averaged record per graph order, judged for criticality.
 
     ``embedding`` is any object with a ``batch(d, k, seed, n)`` method that
     returns a :class:`DirectionBatch`; None means :class:`SeedSchedule`.
-    Orders are deduplicated and processed ascending.  A numerical failure
+    Orders are deduplicated and returned ascending.  A numerical failure
     at one order is captured on its record (``error`` field, NaN witnesses)
     without aborting the sweep.  Records are judged by
     :func:`decide_critical` with its default gates.  Criticality needs both
     neighbours, so the first and last records always stay indeterminate.
+
+    Each record is a pure function of (configuration, n), so with two or
+    more orders the sweep forks a :class:`Pool` of up to one worker per
+    usable core after the first, and the workers and this process claim
+    orders until none is left; the pool is killed and reaped however the
+    sweep ends.  So ``embedding.batch`` may run in a forked worker, and an
+    embedding must be a pure function of its arguments, as
+    :class:`SeedSchedule` and :class:`ConstraintRestricted` are: state it
+    changes in a worker is not seen here.  An exception other than
+    ``LinAlgError`` raised in a worker is raised here with the worker's
+    traceback as its cause.  When :func:`allowed_processes` forbids a fork
+    (one core, no ``fork``, or a second thread alive) the orders run here,
+    one after another; the records are the same either way.
     """
     if embedding is None:
         embedding = SeedSchedule()
@@ -561,7 +592,16 @@ def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
     orders = sorted(set(int(n) for n in n_values))
     if not orders:
         raise ValueError("n_values must be non-empty")
-    records = [_record_or_failure(config, n, embedding) for n in orders]
+    work = partial(_records, config=config, embedding=embedding)
+    processes = min(len(orders), allowed_processes())
+    if processes > 1:
+        pool = Pool(work, processes, "diag", "records")
+        try:
+            records = sorted(pool.run(orders), key=lambda record: record.n)
+        finally:
+            pool.close()
+    else:
+        records = work(orders)
     judged = []
     for idx, record in enumerate(records):
         before = records[idx - 1] if idx > 0 else None

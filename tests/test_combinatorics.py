@@ -14,12 +14,13 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey_toolkit import combinatorics
+from ramsey_toolkit import _pool, combinatorics
 from ramsey_toolkit import (BudgetError, CliqueConstraint, EdgeColoring,
                             brute_force_ramsey, canonical_key, check_small,
                             edge_index, exists_good_coloring, frontier_profile,
@@ -1274,7 +1275,7 @@ class TestParallelWalk:
     def test_pipe_buf_bounds_the_pool(self, monkeypatch, time_limit):
         # A PIPE_BUF that holds the tokens of two processes, no more: a
         # four-core pool starts one worker, and the walk is unchanged.
-        tokens = 2 * (combinatorics._CHUNKS_PER_PROCESS + 1)
+        tokens = 2 * (_pool._CHUNKS_PER_PROCESS + 1)
         monkeypatch.setattr(os, "fpathconf",
                             lambda fd, name: 3 * tokens - 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -1283,6 +1284,23 @@ class TestParallelWalk:
         assert frontier_profile(CliqueConstraint(3, 5), 10) == _R35_V10
         assert {workers for _, _, workers, _ in recorded} == {1}
         self.assert_no_children()
+
+    def test_chunks_grow_with_the_level(self):
+        # Every level of up to 362 parents, the most that the (3,5) and
+        # (4,4) walks to v=10 and v=7 have, keeps 16 chunks per process;
+        # the (4,4) v=9 level's 14,701 parents go in chunks of 16, and no
+        # level's tokens overflow one PIPE_BUF write.
+        for processes in (2, 3):
+            for parents in range(1, 363):
+                assert _pool._chunk_count(parents, processes, 4096) == \
+                    min(parents, 16 * processes)
+        assert _pool._chunk_count(14701, 2, 4096) == 918
+        for parents in (14701, 103706, 546356):
+            for processes in (2, 3, 120):
+                chunks = _pool._chunk_count(parents, processes, 4096)
+                assert 16 * processes <= chunks
+                assert 2 * (chunks + processes) <= 4096
+        assert _pool._chunk_count(546356, 2, 4096) == 2046
 
     def test_budget_error_in_worker(self, monkeypatch):
         # Forked children inherit the patched labelling and cut-off, so
@@ -1310,6 +1328,45 @@ class TestParallelWalk:
         # The child's traceback is chained as the cause.
         assert "in _children" in str(child_error.__cause__)
         self.assert_no_children()
+
+    def test_unpicklable_error_in_worker(self, tmp_path, monkeypatch,
+                                         time_limit):
+        # An exception of a class defined in a function does not pickle:
+        # the worker sends a stand-in with its type name, its message and
+        # its traceback, and the walk raises that.  From the 3-parent level
+        # on, this process waits in its chunk until the worker has raised.
+        class LocalError(Exception):
+            pass
+
+        main = os.getpid()
+        raised = tmp_path / "raised"
+        children = combinatorics._children
+
+        def failing(parents, constraint):
+            if os.getpid() != main:
+                raised.touch()
+                raise LocalError("not picklable")
+            deadline = time.monotonic() + 30
+            while (len(parents[0][0]) >= 3 and not raised.exists()
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            return children(parents, constraint)
+
+        monkeypatch.setattr(combinatorics, "_children", failing)
+        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(_pool.WorkerError) as info:
+            frontier_profile(CliqueConstraint(3, 5), 10)
+        error = info.value
+        assert error.type_name == f"{__name__}.{LocalError.__qualname__}"
+        assert error.message == "not picklable"
+        assert "LocalError: not picklable" in error.traceback_text
+        assert "in failing" in error.traceback_text
+        assert re.match(r"in glue worker \d+:\n", str(error.__cause__))
+        assert error.traceback_text in str(error.__cause__)
+        self.assert_no_children()
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_budget_error_in_own_chunk(self, monkeypatch, time_limit):
         # This process's chunks of the v=11 level raise while the workers'
@@ -1571,8 +1628,8 @@ frontier_profile(CliqueConstraint(3, 5), 10)
         os.close(write)
         try:
             with pytest.raises(EOFError):
-                combinatorics._claimed_children([((0,), ())], 1, read,
-                                                CliqueConstraint(3, 5))
+                _pool._claimed([((0,), ())], 1, read, partial(
+                    combinatorics._children, constraint=CliqueConstraint(3, 5)))
         finally:
             os.close(read)
 
