@@ -31,8 +31,7 @@ from .reporting import (RESULT_COLUMNS, ControlColoringError,
                         ControlComplementError, ControlFormatError,
                         ControlSizeError, ControlSymmetryError, format_value,
                         load_control_coloring, write_results)
-from .spectral import (PowerIterationError, Spectrum, dilation_spectrum,
-                       eig_general, log_trace_exp, log_trace_exp_grid,
+from .spectral import (PowerIterationError, log_trace_exp, log_trace_exp_grid,
                        mat_exp, spectral_norm)
 
 __all__ = [
@@ -58,6 +57,6 @@ __all__ = [
     "RESULT_COLUMNS", "ControlColoringError", "ControlComplementError",
     "ControlFormatError", "ControlSizeError", "ControlSymmetryError",
     "format_value", "load_control_coloring", "write_results",
-    "PowerIterationError", "Spectrum", "dilation_spectrum", "eig_general",
-    "log_trace_exp", "log_trace_exp_grid", "mat_exp", "spectral_norm",
+    "PowerIterationError", "log_trace_exp", "log_trace_exp_grid", "mat_exp",
+    "spectral_norm",
 ]

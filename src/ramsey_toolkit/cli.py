@@ -239,46 +239,38 @@ def _qsim_checks(seed: int) -> list[dict]:
 
     checks: list[dict] = []
 
+    def check(name: str, value: float, reference: float, tolerance: float):
+        checks.append({"check": name, "value": value, "reference": reference,
+                       "tolerance": tolerance, "status": value <= tolerance})
+
     u, v = unit(8), unit(8)
     enc = block_encode_rank1(u, v)
-    defect = float(np.abs(enc.alpha0 * enc.block[:8, :8]
-                          - np.outer(u, v.conj())).max())
-    checks.append({"check": "rank1_block", "value": defect,
-                   "reference": 0.0, "tolerance": 1e-8,
-                   "status": defect <= 1e-8})
+    check("rank1_block", float(np.abs(enc.alpha0 * enc.block[:8, :8]
+                                      - np.outer(u, v.conj())).max()),
+          0.0, 1e-8)
 
     terms = [(float(rng.normal()), unit(8), unit(8)) for _ in range(3)]
     lcu = lcu_block_encode(terms)
     target = sum(w * np.outer(uu, vv.conj()) for w, uu, vv in terms)
-    defect = float(np.abs(lcu.alpha0 * lcu.block[:8, :8] - target).max())
-    checks.append({"check": "lcu_block", "value": defect,
-                   "reference": 0.0, "tolerance": 1e-7,
-                   "status": defect <= 1e-7})
+    check("lcu_block", float(np.abs(lcu.alpha0 * lcu.block[:8, :8]
+                                    - target).max()), 0.0, 1e-7)
 
     batch = sample_directions(8, 20, seed + 1)
     accumulator = build_accumulator(batch)
     operand = spectral.mat_exp(-0.5 * accumulator)
     enc_op = encode_operator(operand, alpha0=1.0)
-    defect = float(np.abs(enc_op.block - operand).max())
-    checks.append({"check": "completion_block", "value": defect,
-                   "reference": 0.0, "tolerance": 1e-10,
-                   "status": defect <= 1e-10})
+    check("completion_block", float(np.abs(enc_op.block - operand).max()),
+          0.0, 1e-10)
 
     probe = unit(16)
     expectation = hadamard_test(enc.unitary, probe)
     direct = float(np.vdot(probe, enc.unitary @ probe).real)
-    defect = abs(expectation - direct)
-    checks.append({"check": "hadamard_exact", "value": defect,
-                   "reference": 0.0, "tolerance": 1e-10,
-                   "status": defect <= 1e-10})
+    check("hadamard_exact", abs(expectation - direct), 0.0, 1e-10)
 
     estimate = hutchinson_trace(enc_op, probes=2000, seed=seed + 2)
     exact = 10.0 ** exp_witness(accumulator, 0.5)
-    gap = abs(estimate.value - exact)
-    budget = 4.0 * estimate.std_error
-    checks.append({"check": "hutchinson_vs_witness", "value": gap,
-                   "reference": exact, "tolerance": budget,
-                   "status": gap <= budget})
+    check("hutchinson_vs_witness", abs(estimate.value - exact), exact,
+          4.0 * estimate.std_error)
 
     a_small = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sigma_top = float(np.linalg.svd(a_small, compute_uv=False)[0])
@@ -286,11 +278,8 @@ def _qsim_checks(seed: int) -> list[dict]:
     aligned = np.concatenate([left[:, 0], right_h[0].conj()]) / np.sqrt(2.0)
     t_step = np.pi / (2.0 * sigma_top)
     estimate_sigma = phase_estimate_dilation(a_small, 7, t_step, state=aligned)
-    resolution = phase_resolution(7, t_step)
-    gap = abs(estimate_sigma - sigma_top)
-    checks.append({"check": "phase_estimate", "value": gap,
-                   "reference": sigma_top, "tolerance": resolution,
-                   "status": gap <= resolution})
+    check("phase_estimate", abs(estimate_sigma - sigma_top), sigma_top,
+          phase_resolution(7, t_step))
     return checks
 
 

@@ -333,9 +333,7 @@ def _deflation_products(vectors: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_eigenvalues(A) -> np.ndarray:
-    M = np.asarray(A)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
-        raise ValueError(f"A must be a square matrix, got shape {M.shape}")
+    M = spectral._checked_matrix(A, "A")
     scale = float(np.abs(M).max())
     if np.allclose(M, M.conj().T, atol=1e-12 * max(scale, 1.0)):
         return np.linalg.eigvalsh(M)

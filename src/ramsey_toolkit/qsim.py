@@ -65,18 +65,13 @@ class BlockEncoding:
     source_dim: int
 
     def __post_init__(self):
-        w = self.unitary
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"unitary must be square, got shape {w.shape}")
+        w = _require_unitary(self.unitary, "BlockEncoding.unitary")
         if self.data_dim < 1 or w.shape[0] % self.data_dim:
             raise ValueError(
                 f"total dimension {w.shape[0]} is not a multiple of "
                 f"data_dim {self.data_dim}")
         if self.alpha0 <= 0.0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        defect = np.abs(w.conj().T @ w - np.eye(w.shape[0])).max()
-        if defect > 1e-8:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
 
     @property
     def block(self) -> np.ndarray:
@@ -95,9 +90,7 @@ def _as_state(vec, name: str = "state") -> np.ndarray:
 
 
 def _require_unitary(U, name: str = "U") -> np.ndarray:
-    w = np.asarray(U, dtype=np.complex128)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
-        raise ValueError(f"{name} must be a square matrix, got {w.shape}")
+    w = np.asarray(spectral._checked_matrix(U, name), dtype=np.complex128)
     defect = np.abs(w.conj().T @ w - np.eye(w.shape[0])).max()
     if defect > _UNITARY_TOL:
         raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
@@ -239,14 +232,10 @@ def encode_operator(F, alpha0: float | None = None) -> BlockEncoding:
     off-diagonal square roots are built from the SVD of B, which keeps the
     dilation unitary to machine precision.  No padding is needed here.
     """
-    mat = np.asarray(F, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-        raise ValueError(f"F must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("F contains non-finite entries")
+    mat = np.asarray(spectral._checked_matrix(F, "F"), dtype=np.complex128)
     d = mat.shape[0]
     left, sigma, right_h = np.linalg.svd(mat)
-    top = float(sigma[0]) if sigma.size else 0.0
+    top = float(sigma[0])
     if alpha0 is None:
         alpha0 = top if top > 0.0 else 1.0
     if alpha0 <= 0.0:
@@ -350,13 +339,9 @@ def phase_estimate_dilation(A, m_bits: int, t: float, state=None,
     (phase 1/2) raises :class:`PhaseWrapError` advising a smaller t.
     Decoded eigenvalues are signed; resolution is 2 pi / (2^m t).
     """
-    mat = np.asarray(A, dtype=np.complex128)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"A must be a non-empty matrix, got shape {mat.shape}")
-    if not (1 <= m_bits <= 8):
-        raise ValueError(f"m_bits must be in 1..8, got {m_bits}")
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    mat = np.asarray(spectral._checked_matrix(A, "A", square=False),
+                     dtype=np.complex128)
+    phase_resolution(m_bits, t)  # validates m_bits and t
     top = float(np.linalg.svd(mat, compute_uv=False)[0])
     if t * top >= math.pi:
         raise PhaseWrapError(

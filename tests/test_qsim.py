@@ -137,6 +137,26 @@ class TestBlockEncodingValidation:
             BlockEncoding(unitary=np.eye(4), ancilla_count=1, alpha0=0.0,
                           data_dim=2, source_dim=2)
 
+    @pytest.mark.parametrize("defect, accepted", [(5e-9, False),
+                                                  (5e-10, True)])
+    def test_one_unitarity_tolerance(self, defect, accepted):
+        # Construction and hadamard_test share one tolerance: what one
+        # accepts, the other accepts too.
+        w = np.eye(4)
+        w[0, 0] = math.sqrt(1.0 + defect)
+        assert unitarity_defect(w) == pytest.approx(defect, rel=1e-6)
+        probe = np.array([1.0, 0.0, 0.0, 0.0])
+        if accepted:
+            BlockEncoding(unitary=w, ancilla_count=1, alpha0=1.0,
+                          data_dim=2, source_dim=2)
+            assert hadamard_test(w, probe) == pytest.approx(1.0)
+            return
+        with pytest.raises(ValueError, match="not unitary"):
+            BlockEncoding(unitary=w, ancilla_count=1, alpha0=1.0,
+                          data_dim=2, source_dim=2)
+        with pytest.raises(ValueError, match="not unitary"):
+            hadamard_test(w, probe)
+
 
 class TestHadamard:
     def test_exact_expectation(self):

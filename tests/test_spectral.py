@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramsey_toolkit import (DiagnosticsConfig, PowerIterationError,
-                            SeedSchedule, build_accumulator,
-                            dilation_spectrum, eig_general, log_trace_exp,
-                            mat_exp, spectral_norm)
+                            SeedSchedule, build_accumulator, encode_operator,
+                            exp_witness, hadamard_test, log_trace_exp,
+                            lyapunov_rate, mat_exp, phase_estimate_dilation,
+                            spectral_norm)
 from ramsey_toolkit.spectral import log_trace_exp_grid
 
 
@@ -68,17 +69,6 @@ class TestMatExp:
         for d in (1, 3, 8):
             assert np.trace(mat_exp(np.zeros((d, d)))) == pytest.approx(d)
 
-    def test_tol_validation(self):
-        m = np.eye(2)
-        with pytest.raises(ValueError):
-            mat_exp(m, tol=0.0)
-        with pytest.raises(ValueError):
-            mat_exp(m, tol=1e-5)
-
-    def test_tol_below_floor_warns(self):
-        with pytest.warns(RuntimeWarning, match="capped"):
-            mat_exp(np.eye(3), tol=1e-15)
-
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValueError):
             mat_exp(np.ones((2, 3)))
@@ -96,61 +86,29 @@ class TestMatExp:
         assert np.abs(lhs - rhs).max() <= 1e-8 * max(1.0, np.abs(rhs).max())
 
 
-class TestEigGeneral:
-    def test_trace_and_determinant_consistency(self):
-        rng = np.random.default_rng(2)
-        for d in (2, 4, 7, 12):
-            a = rng.normal(size=(d, d))
-            spectrum = eig_general(a)
-            norm = np.linalg.norm(a)
-            assert abs(spectrum.eigenvalues.sum() - np.trace(a)) <= 1e-9 * max(
-                1.0, norm)
-            det = np.prod(spectrum.eigenvalues)
-            assert abs(det - np.linalg.det(a)) <= 1e-6 * max(
-                1.0, abs(np.linalg.det(a)))
-
-    def test_hermitian_input_real_spectrum(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = (a + a.conj().T) / 2
-        spectrum = eig_general(h)
-        bound = 1e-10 * np.linalg.norm(h)
-        assert np.abs(spectrum.eigenvalues.imag).max() <= bound
-
-    def test_condition_estimate(self):
-        a = np.diag([4.0, 2.0, 1.0])
-        spectrum = eig_general(a)
-        assert spectrum.condition == pytest.approx(4.0)
-        singular = eig_general(np.diag([1.0, 0.0]))
-        assert singular.condition == np.inf
-
-    def test_eigenvalue_ordering_is_stable(self):
-        a = np.array([[0.0, -2.0], [2.0, 0.0]])
-        spectrum = eig_general(a)
-        assert spectrum.eigenvalues[0].imag < spectrum.eigenvalues[1].imag
+# Every entry point that takes a matrix, with the argument name its error
+# must carry.  Each one validates through the same check, so a NaN or an
+# infinity is a ValueError before any LAPACK call sees it.
+MATRIX_ENTRY_POINTS = {
+    "mat_exp": ("M", mat_exp),
+    "spectral_norm": ("A", spectral_norm),
+    "exp_witness": ("A", lambda m: exp_witness(m, 0.5)),
+    "lyapunov_rate": ("A", lambda m: lyapunov_rate(m, 0.5)),
+    "encode_operator": ("F", encode_operator),
+    "phase_estimate_dilation": (
+        "A", lambda m: phase_estimate_dilation(m, 3, 0.1, seed=0)),
+    "hadamard_test": ("U", lambda m: hadamard_test(m, [1.0, 0.0])),
+}
 
 
-class TestDilation:
-    def test_hermitian_and_paired_spectrum(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-        h, spectrum = dilation_spectrum(a)
-        assert np.abs(h - h.conj().T).max() <= 1e-12
-        sv = np.linalg.svd(a, compute_uv=False)
-        expected = np.sort(np.concatenate([sv, -sv, np.zeros(2)]))
-        assert np.allclose(np.sort(spectrum.eigenvalues.real), expected,
-                           atol=1e-9)
-
-    @given(st.integers(min_value=1, max_value=5),
-           st.integers(min_value=1, max_value=5),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_sign_symmetry(self, r, c, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(r, c))
-        _, spectrum = dilation_spectrum(a)
-        lam = np.sort(spectrum.eigenvalues.real)
-        assert np.allclose(lam, -lam[::-1], atol=1e-9 * max(1.0, abs(lam).max()))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_non_finite_entry_is_a_value_error(entry, bad):
+    name, call = MATRIX_ENTRY_POINTS[entry]
+    m = np.eye(2)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match=rf"^{name} contains non-finite"):
+        call(m)
 
 
 class TestSpectralNorm:
