@@ -30,7 +30,7 @@ from .primes import PSQuery, factorize, persistence_scan
 from .qsim import (block_encode_rank1, encode_operator, hadamard_test,
                    hutchinson_trace, lcu_block_encode, phase_estimate_dilation,
                    phase_resolution)
-from .reporting import RESULT_COLUMNS, load_control_coloring, write_results
+from .reporting import load_control_coloring, write_results
 from . import spectral
 
 __all__ = ["build_parser", "dispatch", "main"]

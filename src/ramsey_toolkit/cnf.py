@@ -209,18 +209,17 @@ def write_map(N: int, sink: TextIO) -> int:
     """Write ``var i j`` lines for every edge of K_N; returns the line count."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    var = _edge_table(N).tolist()
-    count = 0
-    for i, j in combinations(range(1, N + 1), 2):
-        sink.write(f"{var[i][j]} {i} {j}\n")
-        count += 1
-    return count
+    # combinations lists the edges row-major, the order edge_var counts in.
+    for var, (i, j) in enumerate(combinations(range(1, N + 1), 2), start=1):
+        sink.write(f"{var} {i} {j}\n")
+    return math.comb(N, 2)
 
 
 def check_small(N: int, m: int, n: int) -> bool:
     """Exhaustive satisfiability of the instance for small N.
 
-    Runs the combinatorics module's row-by-row enumeration sweep, which
+    Runs the combinatorics module's labelled existence sweep, which adds
+    one vertex at a time through the glue walk's assignment filter and
     answers whether some edge assignment satisfies all clauses: by
     construction the same question as the existence of a colouring of K_N
     with no red K_m and no blue K_n.  Requires ``C(N, 2) <= 28``.

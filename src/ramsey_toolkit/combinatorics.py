@@ -1,21 +1,20 @@
 """Exact small-order Ramsey combinatorics: cliques, gluing, canonical forms.
 
 Public two-colourings of complete graphs are bit vectors over the
-row-major upper triangle (true = red).  The two exact routes test cliques
-in different forms.  The existence sweep grows labelled colourings one
-vertex row at a time, depth-first, and ``_avoiding`` keeps the ``uint32``
-edge masks that contain no red clique mask through each new row's vertex
-and meet every blue one, dropping dead masks after each clique test.  The
-glue walk stores colourings as red-adjacency masks, each beside
-generators of its automorphism group, and filters each parent's 2^v
-new-vertex assignments at once: an int of 2^v bits is the truth table of
-a set of assignments, one recursion over the parent's cliques ORs the
-table of the assignments that hold a red clique with that of the ones
-that miss a blue clique, and the assignments left are the good ones.  The
-walk grows classes by canonical augmentation: a child is kept only when
-its new vertex is canonical, and most children are rejected by degree, by
-the parent's automorphism orbits (one assignment per orbit is tried) and
-by colour before any key is computed.
+row-major upper triangle (true = red); inside, colourings are held as
+red-adjacency masks.  Both exact routes grow colourings one vertex at a
+time through one filter, which tests each parent's 2^v new-vertex
+assignments at once: an int of 2^v bits is the truth table of a set of
+assignments, one recursion over the parent's cliques ORs the table of the
+assignments that hold a red clique with that of the ones that miss a blue
+clique, and the assignments left are the good ones.  The existence sweep
+extends labelled colourings depth-first through it and stops at the first
+one of the wanted order.  The glue walk stores each colouring beside
+generators of its automorphism group and grows classes by canonical
+augmentation: a child is kept only when its new vertex is canonical, and
+most children are rejected by degree, by the parent's automorphism orbits
+(one assignment per orbit is tried) and by colour before any key is
+computed.
 Every child that passes is then a new class, so nothing is deduplicated.
 At its first big level a walk forks one pool of worker processes
 (``_pool.Pool``), one per usable core after the first, which serves that
@@ -39,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations
 
 import numpy as np
 
@@ -61,10 +59,15 @@ __all__ = [
     "survivor_rank",
 ]
 
-# Direct enumeration cap (v <= 8): the sweep's clique kernel holds edge
-# masks as uint32, so a swept colouring's edge count must stay at most 32
-# bits.  Past it, callers take the glue-and-prune route instead, whose
-# bound is its assignment truth tables: 2^v bits per table, 16 KB at v = 17.
+# Direct enumeration cap (v <= 8).  The labelled sweep filters once per
+# labelled good colouring of fewer than v vertices, so an unsatisfiable
+# order pays for every one of them, and that count grows about like v!
+# times the class count.  On a 2-core x86-64 VM the (3,3) sweep at v = 8
+# filters 39 colourings in 0.3 ms, while the (3,4) sweep at v = 9 would
+# filter 34,666 in 0.43 s, and brute_force_ramsey cross-checks every order
+# inside the cap.  Past it, callers take the glue-and-prune route instead,
+# whose bound is its assignment truth tables: 2^v bits per table, 16 KB at
+# v = 17.
 _ENUM_EDGE_BUDGET = 28
 
 # Canonical labelling cap; the search is exact but has a factorial worst case
@@ -84,12 +87,6 @@ _CANONICAL_V_BUDGET = 12
 # v=10 and the (4,4) walk to v=7 took 60-61 ms together with any cut-off
 # from 3 to 24.  So the pool waits for a level that promises bigger ones.
 _PARALLEL_MIN_PARENTS = 24
-
-# Most candidates the enumeration sweep hands the clique kernel at once.
-# Small pieces let a satisfiable sweep reach row 1 after a few calls: at
-# v = 8 on a 2-core x86-64 VM, a good colouring turned up in about 1 ms
-# with pieces of 2^12 masks and in 2-9 ms with pieces of 2^14 to 2^16.
-_CHUNK = 1 << 12
 
 
 class BudgetError(RuntimeError):
@@ -195,21 +192,6 @@ def _has_clique(adj, vertex_count: int, size: int) -> bool:
     return next(_cliques(adj, size, (1 << vertex_count) - 1), None) is not None
 
 
-def _avoiding(masks: np.ndarray, inside, meet) -> np.ndarray:
-    """The ``uint32`` masks that contain no mask of ``inside`` and meet every
-    mask of ``meet``, in input order.  The survivors are compacted after each
-    test, and both iterables are read lazily, only until none is left."""
-    for sub in map(np.uint32, inside):
-        masks = masks[(masks & sub) != sub]
-        if not masks.size:
-            return masks
-    for sub in map(np.uint32, meet):
-        masks = masks[(masks & sub) != 0]
-        if not masks.size:
-            break
-    return masks
-
-
 def _blue(red) -> list[int]:
     """Blue adjacency masks: the complement of ``red`` without loops."""
     full = (1 << len(red)) - 1
@@ -228,55 +210,29 @@ def has_forbidden_clique(coloring: EdgeColoring,
     return _has_forbidden(coloring.red_neighbors(), constraint)
 
 
-def _subset_edge_masks(v: int, size: int, i: int) -> list[int]:
-    """Edge masks of the ``size``-cliques of {i..v} that contain vertex i,
-    in lexicographic order; size 1 gives the single empty mask."""
-    masks = []
-    for rest in combinations(range(i + 1, v + 1), size - 1):
-        m = 0
-        for a, b in combinations((i, *rest), 2):
-            m |= 1 << edge_index(a, b, v)
-        masks.append(m)
-    return masks
-
-
 def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
-    """Depth-first sweep of the labelled colourings of K_v, one vertex row
-    at a time.
+    """Depth-first sweep of the labelled colourings of K_v, one vertex at a
+    time.
 
-    In the row-major edge order the edges (i, j), j > i, of vertex i are
-    a run of v - i bits, and the edges among vertices i..v are every bit
-    from row i upward.  Starting from the empty colouring of {v}, stage i
-    ORs each surviving ``uint32`` mask with all 2^(v-i) assignments of row
-    i and keeps, through :func:`_avoiding`, those with no red m-clique and
-    no blue n-clique through vertex i; cliques inside {i+1..v} were tested
-    at an earlier stage.  Survivors go on to the next row in pieces of at
-    most ``_CHUNK`` candidates, so the sweep returns at the first survivor
-    of row 1 and is False once every branch has emptied.
+    Colourings are held as the glue walk holds them, as red-adjacency
+    masks.  Starting from the single vertex, each good colouring is
+    extended by every assignment :func:`_good_assignments` lets through,
+    so only cliques through the new vertex are tested, and the sweep
+    returns True at the first colouring of v vertices.  It is labelled and
+    deduplicates nothing, so it does not lean on the walk's degree, orbit
+    and key tests, and ``brute_force_ramsey`` checks those against it.
     """
     e = v * (v - 1) // 2
     if e > _ENUM_EDGE_BUDGET:
         raise BudgetError(
             f"enumeration needs 2^{e} masks, budget is 2^{_ENUM_EDGE_BUDGET}",
             partial=None)
-    stages = [(np.arange(1 << (v - i), dtype=np.uint32)
-               << np.uint32(e - (v - i + 1) * (v - i) // 2),
-               _subset_edge_masks(v, constraint.m, i),
-               _subset_edge_masks(v, constraint.n, i))
-              for i in range(v, 0, -1)]
 
-    def sweep(stage: int, survivors: np.ndarray) -> bool:
-        if stage == v:
-            return survivors.size > 0
-        rows, red, blue = stages[stage]
-        step = _CHUNK >> stage
-        return any(
-            sweep(stage + 1,
-                  _avoiding((survivors[start:start + step, None]
-                             | rows).ravel(), red, blue))
-            for start in range(0, survivors.size, step))
+    def sweep(red) -> bool:
+        return len(red) == v or any(
+            sweep(_extend(red, a)) for a in _good_assignments(red, constraint))
 
-    return sweep(0, np.zeros(1, dtype=np.uint32))
+    return not _has_forbidden((0,), constraint) and sweep((0,))
 
 
 def exists_good_coloring(v: int, constraint: CliqueConstraint,
@@ -284,7 +240,8 @@ def exists_good_coloring(v: int, constraint: CliqueConstraint,
     """Whether some colouring of K_v avoids red K_m and blue K_n.
 
     ``mode="enumerate"`` forces the exhaustive sweep of labelled
-    colourings, row by row (edge budget 28, so v <= 8);
+    colourings, one vertex at a time through the glue walk's assignment
+    filter (edge budget 28, so v <= 8);
     ``mode="glue"`` walks the canonical frontier from a single vertex;
     ``mode="auto"`` uses the sweep inside the budget and glue beyond.
     """
@@ -772,7 +729,7 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
                        mode: str = "auto") -> int | None:
     """Smallest v <= v_max admitting no good colouring, or None.
 
-    ``mode="enumerate"`` insists on the bitmask sweep at every order and
+    ``mode="enumerate"`` insists on the labelled sweep at every order and
     raises :class:`BudgetError` (carrying the largest verified order) once
     the edge budget is exceeded.  The default walks the glue-and-prune
     frontier and checks every order inside the edge budget against the

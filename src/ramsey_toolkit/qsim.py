@@ -138,18 +138,8 @@ def _rank1_gadget(u_pad: np.ndarray, v_pad: np.ndarray) -> np.ndarray:
     unitaries turns its (0, 0) entry of 1/2 into the rank-1 target.
     """
     dp = u_pad.size
-    diag00 = np.zeros(dp)
-    diag01 = np.ones(dp)
-    diag11 = np.zeros(dp)
-    diag00[0] = _R2[0, 0]
-    diag01[0] = _R2[0, 1]
-    diag11[0] = _R2[1, 1]
-    gadget = np.zeros((2 * dp, 2 * dp), dtype=np.complex128)
-    idx = np.arange(dp)
-    gadget[idx, idx] = diag00
-    gadget[idx, dp + idx] = diag01
-    gadget[dp + idx, idx] = diag01
-    gadget[dp + idx, dp + idx] = diag11
+    gadget = np.kron(_X2, np.eye(dp, dtype=np.complex128))
+    gadget[::dp, ::dp] = _R2
     prep_u = _completion_unitary(u_pad)
     prep_v = _completion_unitary(v_pad)
     eye2 = np.eye(2)
@@ -270,6 +260,13 @@ def hadamard_test(U, probe, shots: int | None = None,
         raise ValueError(
             f"probe dimension {psi.size} does not match operator "
             f"dimension {w.shape[0]}")
+    return _interference(w, psi, shots, seed)
+
+
+def _interference(w: np.ndarray, psi: np.ndarray, shots: int | None,
+                  seed: int | None) -> float:
+    """:func:`hadamard_test` of the checked ``complex128`` unitary ``w`` on
+    the unit state ``psi`` of its dimension; nothing here re-checks them."""
     plus = 0.5 * (psi + w @ psi)
     minus = 0.5 * (psi - w @ psi)
     p0 = float(np.vdot(plus, plus).real)
@@ -307,12 +304,14 @@ def hutchinson_trace(encoding: BlockEncoding, probes: int, seed: int,
         quad = np.einsum("pi,ij,pj->p", unit.conj(), block, unit)
         samples = encoding.alpha0 * d * quad.real
     else:
+        # BlockEncoding checked the unitary once; the probes are unit.
+        w = np.asarray(encoding.unitary, dtype=np.complex128)
         samples = np.empty(probes)
         for j in range(probes):
             state = np.zeros(total, dtype=np.complex128)
             state[:d] = unit[j]
-            value = hadamard_test(encoding.unitary, state, shots=shots,
-                                  seed=int(rng.integers(0, 2**62)))
+            value = _interference(w, state, shots,
+                                  int(rng.integers(0, 2**62)))
             samples[j] = encoding.alpha0 * d * value
     estimate = float(samples.mean())
     std_error = float(samples.std(ddof=1) / math.sqrt(probes))

@@ -89,9 +89,9 @@ def _reference_next_frontier(frontier, constraint):
 
 
 def _reference_avoiding(masks, inside, meet):
-    """The boolean clique kernel: True where a mask contains no mask of
-    ``inside`` and meets every mask of ``meet``, kept as the oracle for the
-    compacting one."""
+    """The boolean clique kernel over edge or assignment masks: True where
+    a mask contains no mask of ``inside`` and meets every mask of
+    ``meet``."""
     good = np.ones(masks.shape, dtype=bool)
     for sub in map(np.uint64, inside):
         good &= (masks & sub) != sub
@@ -106,15 +106,15 @@ def _reference_avoiding(masks, inside, meet):
 
 def _reference_good_assignments(red, constraint) -> list[int]:
     """The glue walk's assignment filter before truth tables: one
-    :func:`combinatorics._avoiding` pass over the 2^v assignments as
-    ``uint32`` per red (m-1)-clique and blue (n-1)-clique."""
+    :func:`_reference_avoiding` pass over the 2^v assignments as masks per
+    red (m-1)-clique and blue (n-1)-clique."""
     v = len(red)
     full = (1 << v) - 1
-    return combinatorics._avoiding(
-        np.arange(1 << v, dtype=np.uint32),
-        combinatorics._cliques(red, constraint.m - 1, full),
+    masks = np.arange(1 << v, dtype=np.uint64)
+    return masks[_reference_avoiding(
+        masks, combinatorics._cliques(red, constraint.m - 1, full),
         combinatorics._cliques(combinatorics._blue(red), constraint.n - 1,
-                               full)).tolist()
+                               full))].tolist()
 
 
 def _random_red(v: int, density: float, rng) -> list[int]:
@@ -128,9 +128,9 @@ def _random_red(v: int, density: float, rng) -> list[int]:
 
 
 def _reference_exists(v: int, constraint) -> bool:
-    """The flat existence sweep the row-by-row one replaced, kept as its
-    oracle: every edge mask with edge {1, 2} red, in chunks of 2^21, plus
-    the all-blue colouring, which covers the rest up to relabelling."""
+    """The flat existence sweep, kept as the labelled sweep's oracle:
+    every edge mask with edge {1, 2} red, in chunks of 2^21, plus the
+    all-blue colouring, which covers the rest up to relabelling."""
     if not combinatorics._has_forbidden((0,) * v, constraint):
         return True
     e = v * (v - 1) // 2
@@ -151,16 +151,9 @@ def _reference_exists(v: int, constraint) -> bool:
     for start in range(1, 1 << e, 2 * chunk):
         masks = np.arange(start, min(start + 2 * chunk, 1 << e), 2,
                           np.uint32)
-        if combinatorics._avoiding(masks, red, blue).size:
+        if _reference_avoiding(masks, red, blue).any():
             return True
     return False
-
-
-def _counting(values, reads):
-    """Yield ``values``, appending each one to ``reads`` as it is read."""
-    for x in values:
-        reads.append(x)
-        yield x
 
 
 def _sorted_neighbour_colors(red, v: int) -> list[int]:
@@ -476,55 +469,6 @@ class TestCliques:
             0b0111, 0b1011, 0b1101, 0b1110]
 
 
-_UINT32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
-
-
-class TestAvoiding:
-    @given(st.lists(_UINT32, max_size=60), st.lists(_UINT32, max_size=6),
-           st.lists(_UINT32, max_size=6), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_boolean_kernel(self, values, inside, meet, data):
-        # Narrow random masks so that some survive the tests.
-        width = data.draw(st.sampled_from([0x7, 0xFF, 0xFFFF, 0xFFFFFFFF]),
-                          label="width")
-        masks = np.array([x & width for x in values], dtype=np.uint32)
-        inside = [x & width for x in inside]
-        meet = [x & width for x in meet]
-        got = combinatorics._avoiding(masks, inside, meet)
-        expected = masks[_reference_avoiding(masks, inside, meet)]
-        assert got.dtype == np.uint32
-        assert got.tolist() == expected.tolist()
-
-    def test_zero_masks(self):
-        masks = np.arange(8, dtype=np.uint32)
-        # Every mask contains 0 and none meets it.
-        assert combinatorics._avoiding(masks, [0], []).size == 0
-        assert combinatorics._avoiding(masks, [], [0]).size == 0
-        assert combinatorics._avoiding(masks, [], []).tolist() == [
-            0, 1, 2, 3, 4, 5, 6, 7]
-        assert combinatorics._avoiding(masks, [0b100], [0b011]).tolist() == [
-            1, 2, 3]
-
-    def test_inside_stops_at_the_emptying_mask(self):
-        masks = np.array([0b01, 0b10, 0b11], dtype=np.uint32)
-        inside_reads, meet_reads = [], []
-        got = combinatorics._avoiding(
-            masks, _counting([0b01, 0b10, 0b100, 0b1000], inside_reads),
-            _counting([0b1], meet_reads))
-        assert got.size == 0 and got.dtype == np.uint32
-        assert inside_reads == [0b01, 0b10]
-        assert meet_reads == []
-
-    def test_meet_stops_at_the_emptying_mask(self):
-        masks = np.array([0b01, 0b10, 0b11], dtype=np.uint32)
-        meet_reads = []
-        got = combinatorics._avoiding(
-            masks, [0b100],
-            _counting([0b11, 0b01, 0b10, 0b100, 0b1000], meet_reads))
-        assert got.size == 0
-        assert meet_reads == [0b11, 0b01, 0b10, 0b100]
-
-
 # Sizes from 1 up, with m or n in {1, 2} (no assignment is good when either
 # is 1, and a single clique vertex decides it when either is 2).
 _FILTER_CONSTRAINTS = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 2),
@@ -613,25 +557,6 @@ class TestExistence:
         with pytest.raises(BudgetError):
             exists_good_coloring(9, constraint, mode="enumerate")
 
-    def test_staged_sweep_at_the_edge_budget(self, monkeypatch):
-        # (8; 3,3) is UNSAT.  Its sweep dies by row 3, so it hands the
-        # kernel few masks, all uint32 and at most _CHUNK at a time, and
-        # reaches the top edge {7, 8} at bit 27 of the 28-bit width.
-        seen = []
-        avoiding = combinatorics._avoiding
-
-        def recording(masks, inside, meet):
-            seen.append(masks)
-            return avoiding(masks, inside, meet)
-
-        monkeypatch.setattr(combinatorics, "_avoiding", recording)
-        assert exists_good_coloring(8, CliqueConstraint(3, 3),
-                                    "enumerate") is False
-        assert {masks.dtype for masks in seen} == {np.dtype(np.uint32)}
-        assert max(masks.size for masks in seen) <= combinatorics._CHUNK
-        assert sum(masks.size for masks in seen) < 1 << 12
-        assert any((masks >> np.uint32(27)).any() for masks in seen)
-
     @pytest.mark.parametrize("v", range(1, 8))
     def test_matches_flat_sweep(self, v):
         for m, n in itertools.product(range(1, 6), repeat=2):
@@ -641,34 +566,34 @@ class TestExistence:
             if 1 in (m, n):
                 assert expected is False
 
-    @pytest.mark.parametrize("chunk", [1 << 7, 1 << 8, 1 << 10])
-    def test_small_pieces(self, monkeypatch, chunk):
-        # At 2^7 a piece of the last row holds a single survivor.
-        monkeypatch.setattr(combinatorics, "_CHUNK", chunk)
+    def test_one_filter_call_per_labelled_colouring(self, monkeypatch):
         for m, n, ramsey in ((3, 3, 6), (3, 4, 9), (3, 5, 14), (4, 4, 18)):
             for v in range(5, 9):
                 assert combinatorics._enumerate_exists(
                     v, CliqueConstraint(m, n)) == (v < ramsey)
-        # An UNSAT sweep visits every piece: the row of vertex v - k
-        # extends each of the good(k) labelled (3,3)-good colourings of
-        # the k vertices above it in 2^k ways.
+        # An UNSAT sweep extends every labelled good colouring of the orders
+        # below the first empty one, so the (8; 3,3) sweep filters each
+        # (3,3)-good colouring of k = 1..5 vertices exactly once.
         constraint = CliqueConstraint(3, 3)
-        good = [sum(not has_forbidden_clique(EdgeColoring.from_mask(k, x),
-                                             constraint)
-                    for x in range(1 << k * (k - 1) // 2))
-                for k in range(1, 6)]
-        assert good == [1, 2, 6, 18, 12]
-        sizes = []
-        avoiding = combinatorics._avoiding
+        good = []
+        for k in range(1, 6):
+            for x in range(1 << k * (k - 1) // 2):
+                coloring = EdgeColoring.from_mask(k, x)
+                if not has_forbidden_clique(coloring, constraint):
+                    good.append(tuple(coloring.red_neighbors()))
+        assert [sum(len(red) == k for red in good) for k in range(1, 6)] == [
+            1, 2, 6, 18, 12]
+        filtered = []
+        good_assignments = combinatorics._good_assignments
 
-        def recording(masks, inside, meet):
-            sizes.append(masks.size)
-            assert masks.size <= chunk
-            return avoiding(masks, inside, meet)
+        def recording(red, *rest):
+            filtered.append(tuple(red))
+            return good_assignments(red, *rest)
 
-        monkeypatch.setattr(combinatorics, "_avoiding", recording)
+        monkeypatch.setattr(combinatorics, "_good_assignments", recording)
         assert not combinatorics._enumerate_exists(8, constraint)
-        assert sum(sizes) == 1 + sum(g << k for k, g in enumerate(good, 1))
+        assert sorted(filtered) == sorted(good)
+        assert len(set(filtered)) == len(filtered) == 39
 
     def test_known_values_through_the_sweep(self):
         for k in range(2, 9):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ramsey_toolkit import qsim
 from ramsey_toolkit import (BlockEncoding, PhaseWrapError, block_encode_rank1,
                             encode_operator, hadamard_test, hutchinson_trace,
                             lcu_block_encode, phase_estimate_dilation,
@@ -217,10 +218,38 @@ class TestHutchinson:
         exact = hutchinson_trace(enc, probes=128, seed=3)
         assert abs(est.value - exact.value) < 1.0
 
+    def test_shot_path_value_is_pinned(self):
+        # The value and error the shot path gave while each probe still
+        # went through hadamard_test.
+        enc = encode_operator(np.diag([1.0, -1.0, 0.5, 2.0]))
+        est = hutchinson_trace(enc, probes=16, seed=3, shots=256)
+        assert est.value == 2.12109375
+        assert est.std_error == 0.5609489248488337
+
+    def test_shot_path_checks_the_unitary_once(self, monkeypatch):
+        # BlockEncoding checks its unitary; the probes do not check it again.
+        calls = []
+        require_unitary = qsim._require_unitary
+
+        def counting(*args):
+            calls.append(args)
+            return require_unitary(*args)
+
+        monkeypatch.setattr(qsim, "_require_unitary", counting)
+        rng = np.random.default_rng(32)
+        enc = encode_operator(rng.normal(size=(32, 32)))
+        assert len(calls) == 1
+        hutchinson_trace(enc, probes=200, seed=5, shots=1000)
+        assert len(calls) == 1
+        hadamard_test(enc.unitary, np.eye(64)[0])
+        assert len(calls) == 2
+
     def test_validation(self):
         enc = encode_operator(np.eye(2))
         with pytest.raises(ValueError):
             hutchinson_trace(enc, probes=1, seed=0)
+        with pytest.raises(ValueError):
+            hutchinson_trace(enc, probes=2, seed=0, shots=0)
 
 
 class TestPhaseEstimation:
