@@ -566,6 +566,26 @@ class TestExistence:
             if 1 in (m, n):
                 assert expected is False
 
+    @pytest.mark.parametrize("bits", [128, 256, 1024])
+    def test_small_pieces(self, paley17, bits):
+        # Each step of the sweep extends a parent of v vertices by the
+        # piece the filter reads out of a truth table of 2^v bits.  On the
+        # first v vertices of the Paley colouring, a (4,4)-good parent, the
+        # piece must hold exactly the assignments whose extension by
+        # _extend has no red or blue K_4 anywhere, and the Paley colouring's
+        # own next vertex among them.
+        v = bits.bit_length() - 1
+        full = (1 << v) - 1
+        paley = paley17.red_neighbors()
+        red = tuple(r & full for r in paley[:v])
+        constraint = CliqueConstraint(4, 4)
+        piece = combinatorics._good_assignments(red, constraint)
+        assert piece == [
+            a for a in range(bits) if not combinatorics._has_forbidden(
+                combinatorics._extend(red, a), constraint)]
+        assert paley[v] & full in piece
+        assert len(piece) < bits
+
     def test_one_filter_call_per_labelled_colouring(self, monkeypatch):
         for m, n, ramsey in ((3, 3, 6), (3, 4, 9), (3, 5, 14), (4, 4, 18)):
             for v in range(5, 9):
@@ -1443,16 +1463,20 @@ except RuntimeError as exc:
             os.kill(int(started.read_text()), 0)
 
     @pytest.mark.parametrize("stall", ["chunk", "tokens"])
-    def test_killed_main_leaves_no_worker(self, stall):
+    def test_killed_main_leaves_no_worker(self, stall, tmp_path):
         # The main process stops, in its own chunk of the 32-parent level
         # or before it writes the first level's tokens, and is killed with
         # SIGKILL.  Its workers must then see end of file on the frontier
-        # or the token pipe and exit, not wait or spin for ever.
+        # or the token pipe and exit, not wait or spin for ever.  In the
+        # chunk case a worker holds each chunk of that level until the main
+        # process has stalled, so the two workers cannot claim all 32
+        # chunks before it claims one.
         script = """
 import os, sys, time
 from ramsey_toolkit import CliqueConstraint, combinatorics, frontier_profile
 
 MAIN = os.getpid()
+GATE = sys.argv[2]
 fork, write, children = os.fork, os.write, combinatorics._children
 
 def announcing_fork():
@@ -1462,12 +1486,17 @@ def announcing_fork():
     return pid
 
 def stall():
+    open(GATE, "w").close()
     print("stalled", flush=True)
     time.sleep(120)
 
 def stalling_children(parents, constraint):
-    if os.getpid() == MAIN and len(parents[0][0]) == 6:
-        stall()
+    if len(parents[0][0]) == 6:
+        if os.getpid() == MAIN:
+            stall()
+        deadline = time.monotonic() + 60
+        while not os.path.exists(GATE) and time.monotonic() < deadline:
+            time.sleep(0.001)
     return children(parents, constraint)
 
 def stalling_write(fd, data):
@@ -1485,7 +1514,8 @@ os.sched_getaffinity = lambda pid: {0, 1, 2}
 combinatorics._PARALLEL_MIN_PARENTS = 0
 frontier_profile(CliqueConstraint(3, 5), 10)
 """
-        proc = subprocess.Popen([sys.executable, "-c", script, stall],
+        proc = subprocess.Popen([sys.executable, "-c", script, stall,
+                                 str(tmp_path / "stalled")],
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.STDOUT)
         try:
