@@ -19,10 +19,10 @@ from .diagnostics import (ConstraintRestricted, DecisionThresholds,
                           exp_witness, linear_witness, lyapunov_rate,
                           mean_field_trace, miss_probability, run_diagnostics,
                           sample_directions, slope_fit)
-from .primes import (DEFAULT_RULE, PersistenceResult, PrimeSignature, PSQuery,
-                     SelectionResult, SelectionRule, enumerate_ps, factorize,
-                     first_primes, growth_ratio, is_prime_sequence,
-                     persistence_scan, select_candidate)
+from .primes import (PersistenceResult, PrimeSignature, PSQuery,
+                     SelectionResult, enumerate_ps, factorize, first_primes,
+                     growth_ratio, is_prime_sequence, persistence_scan,
+                     select_candidate)
 from .qsim import (BlockEncoding, PhaseWrapError, TraceEstimate,
                    block_encode_rank1, encode_operator, hadamard_test,
                    hutchinson_trace, lcu_block_encode, phase_estimate_dilation,
@@ -47,10 +47,9 @@ __all__ = [
     "decide_critical", "deflation_mc", "deflation_probability", "exp_witness",
     "linear_witness", "lyapunov_rate", "mean_field_trace", "miss_probability",
     "run_diagnostics", "sample_directions", "slope_fit",
-    "DEFAULT_RULE", "PersistenceResult", "PrimeSignature", "PSQuery",
-    "SelectionResult", "SelectionRule", "enumerate_ps", "factorize",
-    "first_primes", "growth_ratio", "is_prime_sequence", "persistence_scan",
-    "select_candidate",
+    "PersistenceResult", "PrimeSignature", "PSQuery", "SelectionResult",
+    "enumerate_ps", "factorize", "first_primes", "growth_ratio",
+    "is_prime_sequence", "persistence_scan", "select_candidate",
     "BlockEncoding", "PhaseWrapError", "TraceEstimate", "block_encode_rank1",
     "encode_operator", "hadamard_test", "hutchinson_trace", "lcu_block_encode",
     "phase_estimate_dilation", "phase_resolution",

@@ -26,7 +26,7 @@ from .combinatorics import (BudgetError, CliqueConstraint, frontier_profile,
 from .diagnostics import (DiagnosticsConfig, build_accumulator,
                           control_record, exp_witness, run_diagnostics,
                           sample_directions)
-from .primes import PSQuery, factorize, persistence_scan
+from .primes import factorize, persistence_scan
 from .qsim import (block_encode_rank1, encode_operator, hadamard_test,
                    hutchinson_trace, lcu_block_encode, phase_estimate_dilation,
                    phase_resolution)
@@ -211,7 +211,7 @@ def _cmd_prime(args: argparse.Namespace) -> int:
                 f"no default window for order {order}; pass --lo/--hi")
     rows = []
     for order, lo, hi in windows:
-        result = persistence_scan(order, lo, hi, PSQuery(k=1))
+        result = persistence_scan(order, lo, hi)
         for k_order, selected in result.selections:
             signature = factorize(selected)
             rows.append({

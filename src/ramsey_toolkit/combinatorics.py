@@ -225,8 +225,8 @@ def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
     e = v * (v - 1) // 2
     if e > _ENUM_EDGE_BUDGET:
         raise BudgetError(
-            f"enumeration needs 2^{e} masks, budget is 2^{_ENUM_EDGE_BUDGET}",
-            partial=None)
+            f"labelled sweep at v={v} has {e} edges, past the "
+            f"{_ENUM_EDGE_BUDGET}-edge cap (v <= 8)", partial=None)
 
     def sweep(red) -> bool:
         return len(red) == v or any(

@@ -3,22 +3,26 @@
 A prime-sequence number of order k admits a factorisation using only the
 first k primes, with a cap on how many distinct primes appear and how large
 each exponent may grow.  The module enumerates such numbers inside integer
-windows, ranks the admissible candidates, and scans the order k to find the
-selection that persists longest.
+windows and ranks the admissible candidates by one fixed key: smallest
+largest exponent, then fewest distinct primes, then smallest value.  A
+persistence scan factorises and ranks its window once, reads the winner at
+every order k off that ranking, and returns the selection that persists
+longest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import groupby
+from operator import itemgetter
 
 __all__ = [
     "PSQuery",
     "PrimeSignature",
-    "SelectionRule",
     "SelectionResult",
     "PersistenceResult",
-    "DEFAULT_RULE",
     "first_primes",
     "factorize",
     "is_prime_sequence",
@@ -28,23 +32,19 @@ __all__ = [
     "growth_ratio",
 ]
 
-_CRITERIA = ("fewest-distinct-primes", "smallest-max-exponent", "smallest-value")
 
-_prime_cache: list[int] = [2, 3, 5, 7, 11, 13]
-
-
+@cache
 def first_primes(k: int) -> tuple[int, ...]:
     """The first ``k`` primes under standard indexing (p1 = 2, p5 = 11)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    while len(_prime_cache) < k:
-        candidate = _prime_cache[-1] + 2
-        while True:
-            if all(candidate % p for p in _prime_cache if p * p <= candidate):
-                _prime_cache.append(candidate)
-                break
-            candidate += 2
-    return tuple(_prime_cache[:k])
+    primes = [2]
+    candidate = 3
+    while len(primes) < k:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 2
+    return tuple(primes)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,31 @@ def factorize(q: int) -> PrimeSignature:
     return PrimeSignature(tuple(factors))
 
 
+def _within_caps(sig: PrimeSignature, query: PSQuery) -> bool:
+    return (sig.distinct <= query.max_distinct
+            and sig.max_exponent <= query.max_exponent)
+
+
+def _in_basis(sig: PrimeSignature, k: int) -> bool:
+    """Every prime of ``sig`` is among the first ``k`` (true for q = 1)."""
+    return not sig.factors or sig.factors[-1][0] <= first_primes(k)[-1]
+
+
+def _rank_key(sig: PrimeSignature) -> tuple[int, int, int]:
+    """Smallest largest exponent, then fewest distinct primes, then value."""
+    return sig.max_exponent, sig.distinct, sig.value
+
+
+def _ranked_window(lo: int, hi: int, query: PSQuery) -> list[PrimeSignature]:
+    """Signatures of the values in ``[lo, hi]`` within the caps of
+    ``query``, in rank order, whatever the basis order."""
+    if hi < lo:
+        raise ValueError(f"window [lo, hi] requires hi >= lo, got [{lo}, {hi}]")
+    signatures = (factorize(q) for q in range(max(lo, 1), hi + 1))
+    return sorted((sig for sig in signatures if _within_caps(sig, query)),
+                  key=_rank_key)
+
+
 def is_prime_sequence(q: int, query: PSQuery) -> bool:
     """True iff every prime factor of ``q`` lies among the first ``query.k``
     primes, at most ``query.max_distinct`` distinct primes appear, and no
@@ -111,25 +136,8 @@ def is_prime_sequence(q: int, query: PSQuery) -> bool:
     ``q = 1`` has no prime factors and satisfies any query vacuously.
     Raises ``ValueError`` for ``q < 1``.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    basis = first_primes(query.k)
-    rest = q
-    distinct = 0
-    for p in basis:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if e > query.max_exponent:
-                return False
-            distinct += 1
-            if distinct > query.max_distinct:
-                return False
-        if rest == 1:
-            break
-    return rest == 1
+    sig = factorize(q)
+    return _within_caps(sig, query) and _in_basis(sig, query.k)
 
 
 def enumerate_ps(lo: int, hi: int, query: PSQuery) -> tuple[int, ...]:
@@ -141,40 +149,6 @@ def enumerate_ps(lo: int, hi: int, query: PSQuery) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SelectionRule:
-    """Ordered tie-break criteria used to rank admissible candidates."""
-
-    criteria: tuple[str, ...] = (
-        "smallest-max-exponent",
-        "fewest-distinct-primes",
-        "smallest-value",
-    )
-
-    def __post_init__(self):
-        if not self.criteria:
-            raise ValueError("criteria must be non-empty")
-        for c in self.criteria:
-            if c not in _CRITERIA:
-                raise ValueError(f"unknown criterion {c!r}; expected one of {_CRITERIA}")
-
-    def sort_key(self, q: int):
-        sig = factorize(q)
-        parts = []
-        for c in self.criteria:
-            if c == "fewest-distinct-primes":
-                parts.append(sig.distinct)
-            elif c == "smallest-max-exponent":
-                parts.append(sig.max_exponent)
-            else:
-                parts.append(q)
-        parts.append(q)
-        return tuple(parts)
-
-
-DEFAULT_RULE = SelectionRule()
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Head of the ranking plus the full ranked candidate list."""
 
@@ -182,20 +156,18 @@ class SelectionResult:
     ranking: tuple[int, ...] = ()
 
 
-def select_candidate(lo: int, hi: int, query: PSQuery,
-                     rule: SelectionRule = DEFAULT_RULE) -> SelectionResult:
+def select_candidate(lo: int, hi: int, query: PSQuery) -> SelectionResult:
     """Rank the prime-sequence numbers in the inclusive window ``[lo, hi]``.
 
-    Returns the ranking head, or ``value=None`` with an empty ranking when
-    the window admits no candidate at this query.
+    Candidates are ordered by smallest largest exponent, then fewest
+    distinct primes, then smallest value.  Returns the ranking head, or
+    ``value=None`` with an empty ranking when the window admits no
+    candidate at this query.
     """
-    if hi < lo:
-        raise ValueError(f"window [lo, hi] requires hi >= lo, got [{lo}, {hi}]")
-    candidates = enumerate_ps(lo - 1, hi, query)
-    if not candidates:
-        return SelectionResult(value=None, ranking=())
-    ranked = tuple(sorted(candidates, key=rule.sort_key))
-    return SelectionResult(value=ranked[0], ranking=ranked)
+    ranking = tuple(sig.value for sig in _ranked_window(lo, hi, query)
+                    if _in_basis(sig, query.k))
+    return SelectionResult(value=ranking[0] if ranking else None,
+                           ranking=ranking)
 
 
 @dataclass(frozen=True)
@@ -213,50 +185,36 @@ class PersistenceResult:
 
 
 def persistence_scan(n_diag: int, lo: int, hi: int,
-                     query_template: PSQuery | None = None,
-                     rule: SelectionRule = DEFAULT_RULE) -> PersistenceResult:
+                     query_template: PSQuery | None = None) -> PersistenceResult:
     """Scan basis orders k and return the longest-lived selection.
 
-    For each k from the smallest order admitting a candidate up to
-    ``2 * n_diag - 1``, the window ``[lo, hi]`` is ranked under ``rule`` and
-    the winner recorded.  The result is the value whose consecutive run of
-    wins is longest, ties resolved toward the latest run.  ``query_template``
-    supplies the distinct/exponent caps; its ``k`` field is replaced by the
-    scan.  Raises ``ValueError`` when no k in range admits any candidate.
+    The window ``[lo, hi]`` is factorised and ranked once, in the order of
+    :func:`select_candidate`.  For each k from the smallest order admitting
+    a candidate up to ``2 * n_diag - 1``, the winner is the first ranked
+    value whose primes all lie among the first k: the head
+    :func:`select_candidate` returns at that k.  The result is the value
+    whose consecutive run of wins is longest, ties resolved toward the
+    latest run.  ``query_template`` supplies the distinct/exponent caps;
+    its ``k`` field is ignored.  Raises ``ValueError`` when no k in range
+    admits any candidate.
     """
     if n_diag < 1:
         raise ValueError(f"n_diag must be >= 1, got {n_diag}")
-    template = query_template or PSQuery(k=1)
-    k_max = max(1, 2 * n_diag - 1)
-    selections: list[tuple[int, int]] = []
-    for k in range(1, k_max + 1):
-        query = PSQuery(k=k, max_distinct=template.max_distinct,
-                        max_exponent=template.max_exponent)
-        picked = select_candidate(lo, hi, query, rule)
-        if picked.value is not None:
-            selections.append((k, picked.value))
+    ranked = _ranked_window(lo, hi, query_template or PSQuery(k=1))
+    k_max = 2 * n_diag - 1
+    heads = ((k, next((sig.value for sig in ranked if _in_basis(sig, k)), None))
+             for k in range(1, k_max + 1))
+    selections = tuple((k, value) for k, value in heads if value is not None)
     if not selections:
         raise ValueError(
             f"no prime-sequence candidate in [{lo}, {hi}] for any k <= {k_max}")
-
-    best_value = selections[0][1]
-    best_run = (selections[0][0], selections[0][0])
-    run_start = 0
-    for i in range(1, len(selections) + 1):
-        end_of_run = (
-            i == len(selections)
-            or selections[i][1] != selections[run_start][1]
-            or selections[i][0] != selections[i - 1][0] + 1
-        )
-        if end_of_run:
-            length = i - run_start
-            k_first, k_last = selections[run_start][0], selections[i - 1][0]
-            if length >= (best_run[1] - best_run[0] + 1):
-                best_value = selections[run_start][1]
-                best_run = (k_first, k_last)
-            run_start = i
-    return PersistenceResult(value=best_value, plateau=best_run,
-                             selections=tuple(selections))
+    # Admission only grows with k, so the orders in ``selections`` are
+    # consecutive and each run of equal winners is a plateau.
+    runs = [(value, [k for k, _ in run])
+            for value, run in groupby(selections, key=itemgetter(1))]
+    value, orders = max(reversed(runs), key=lambda run: len(run[1]))
+    return PersistenceResult(value=value, plateau=(orders[0], orders[-1]),
+                             selections=selections)
 
 
 def growth_ratio(diag_values, offdiag_values) -> tuple[tuple[float, bool], ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -229,6 +230,10 @@ class TestPrime:
             == {"115"}
         assert {row["selected"] for row in seven if row["in_plateau"] == "true"} \
             == {"209"}
+        digest = hashlib.sha256(
+            (tmp_path / "prime_scan.csv").read_bytes()).hexdigest()
+        assert digest == ("50f878af64cfba5a8fd97415edb8ad13"
+                          "39e58a3bf6dcfcd9111b658e502f33f0")
 
     def test_explicit_window_single_order(self, tmp_path):
         status = dispatch(["prime", "--n", "5", "--lo", "43", "--hi", "46",

@@ -557,6 +557,18 @@ class TestExistence:
         with pytest.raises(BudgetError):
             exists_good_coloring(9, constraint, mode="enumerate")
 
+    def test_budget_error_names_the_order_and_its_edges(self):
+        with pytest.raises(BudgetError) as info:
+            exists_good_coloring(9, CliqueConstraint(3, 4), mode="enumerate")
+        assert str(info.value) == ("labelled sweep at v=9 has 36 edges, "
+                                   "past the 28-edge cap (v <= 8)")
+        assert info.value.partial is None
+        with pytest.raises(BudgetError) as info:
+            brute_force_ramsey(CliqueConstraint(3, 4), 9, "enumerate")
+        assert str(info.value) == ("enumeration budget exceeded at v=9; "
+                                   "orders up to 8 admit good colourings")
+        assert str(info.value.__cause__).startswith("labelled sweep at v=9")
+
     @pytest.mark.parametrize("v", range(1, 8))
     def test_matches_flat_sweep(self, v):
         for m, n in itertools.product(range(1, 6), repeat=2):

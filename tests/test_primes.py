@@ -7,9 +7,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsey_toolkit import (PSQuery, SelectionRule, enumerate_ps, factorize,
-                            first_primes, growth_ratio, is_prime_sequence,
-                            persistence_scan, select_candidate)
+import ramsey_toolkit.primes as primes
+from ramsey_toolkit import (PSQuery, enumerate_ps, factorize, first_primes,
+                            growth_ratio, is_prime_sequence, persistence_scan,
+                            select_candidate)
 
 
 class TestBasisAndFactorization:
@@ -99,16 +100,6 @@ class TestSelection:
         assert result.value is None
         assert result.ranking == ()
 
-    def test_value_first_rule_changes_head(self):
-        rule = SelectionRule(criteria=("smallest-value",))
-        assert select_candidate(100, 130, PSQuery(k=9), rule).value == 100
-
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            SelectionRule(criteria=())
-        with pytest.raises(ValueError):
-            SelectionRule(criteria=("smallest-norm",))
-
 
 class TestPersistence:
     def test_diagonal_order_six(self):
@@ -146,6 +137,37 @@ class TestPersistence:
             persistence_scan(2, 116, 118, PSQuery(k=1, max_distinct=1))
         with pytest.raises(ValueError):
             persistence_scan(0, 10, 20)
+        with pytest.raises(ValueError):
+            persistence_scan(5, 46, 43)
+
+    @pytest.mark.parametrize("caps", [(1, 1), (2, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("n_diag, lo, hi", [
+        (5, 43, 46), (3, 5, 7), (4, 17, 19), (6, 102, 160), (7, 205, 492),
+        (7, 1, 600)])
+    def test_scan_matches_per_order_selection(self, n_diag, lo, hi, caps):
+        # The reference is one select_candidate call per order k.
+        expected = []
+        for k in range(1, 2 * n_diag):
+            head = select_candidate(lo, hi, PSQuery(k, *caps)).value
+            if head is not None:
+                expected.append((k, head))
+        if not expected:
+            with pytest.raises(ValueError):
+                persistence_scan(n_diag, lo, hi, PSQuery(1, *caps))
+            return
+        result = persistence_scan(n_diag, lo, hi, PSQuery(1, *caps))
+        assert result.selections == tuple(expected)
+
+    def test_scan_factorizes_each_value_once(self, monkeypatch):
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return factorize(q)
+
+        monkeypatch.setattr(primes, "factorize", counting)
+        persistence_scan(7, 205, 492)
+        assert sorted(calls) == list(range(205, 493))
 
 
 class TestGrowthRatio:
