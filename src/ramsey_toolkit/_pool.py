@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import threading
+from functools import partial
 
 # A list is cut into at least this many chunks per process, or one chunk
 # per item when there are fewer; chunk i holds every chunks-th item from
@@ -108,8 +109,8 @@ class Pool:
 
     ``work`` takes a list of items and returns a list of results.  The
     workers are forked once and then serve one list after another.  For
-    each list, this process pickles ``(items, chunks)`` into every worker's
-    item pipe and writes the chunk indices, then one end marker per
+    each list, this process pickles ``(items, chunks, options)`` into every
+    worker's item pipe and writes the chunk indices, then one end marker per
     process, into the token pipe that all of them read; each process claims
     chunks until it reads an end marker.  Each worker then pickles
     ``("ok", results)`` or ``("error", exception, traceback text)`` into
@@ -163,21 +164,22 @@ class Pool:
             self.close()
             raise
 
-    def run(self, items) -> list:
+    def run(self, items, **options) -> list:
         """``work`` of every chunk of ``items``, computed by every process
         of the pool and concatenated in an order that depends on who
         claimed what.
 
-        The list is cut into :func:`_chunk_count` chunks.  A worker's
+        Keyword ``options`` go to every ``work`` call of this list.  The
+        list is cut into :func:`_chunk_count` chunks.  A worker's
         exception is raised here with the worker's traceback as its cause;
         a worker that ends without its results raises
         :class:`RuntimeError`.
         """
         if not self.workers:
-            return self.work(items)
+            return self.work(items, **options)
         processes = len(self.workers) + 1
         chunks = _chunk_count(len(items), processes, self.pipe_buf)
-        with memoryview(pickle.dumps((items, chunks),
+        with memoryview(pickle.dumps((items, chunks, options),
                                      pickle.HIGHEST_PROTOCOL)) as task:
             for pid, (fd, _) in list(self.workers.items()):
                 sent = 0
@@ -191,7 +193,8 @@ class Pool:
         os.write(self.tokens[1], b"".join(
             i.to_bytes(2, "little")
             for i in [*range(chunks), *[_END] * processes]))
-        results = _claimed(items, chunks, self.tokens[0], self.work)
+        results = _claimed(items, chunks, self.tokens[0],
+                           partial(self.work, **options))
         for pid, (_, reader) in list(self.workers.items()):
             try:
                 result = pickle.load(reader)
@@ -245,11 +248,12 @@ def _serve(items: int, tokens: int, results: int, work,
         with os.fdopen(items, "rb") as inbox, \
                 os.fdopen(results, "wb") as out:
             while True:
-                # Only the call holds the items, and ``result`` goes once it
-                # is sent, so nothing waits here for the next list.
+                # The list's items and ``result`` go once the results are
+                # sent, so nothing waits here for the next list.
                 try:
-                    result = "ok", _claimed(*pickle.load(inbox), tokens,
-                                            work)
+                    batch, chunks, options = pickle.load(inbox)
+                    result = "ok", _claimed(batch, chunks, tokens,
+                                            partial(work, **options))
                 except EOFError:
                     break
                 except BaseException as exc:
@@ -266,7 +270,7 @@ def _serve(items: int, tokens: int, results: int, work,
                     result = "error", sent, text
                 pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
                 out.flush()
-                del result
+                batch = result = None
         status = 0
     finally:
         os._exit(status)

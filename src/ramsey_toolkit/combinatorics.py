@@ -16,6 +16,8 @@ most children are rejected by degree, by the parent's automorphism orbits
 (one assignment per orbit is tried) and by colour before any key is
 computed.
 Every child that passes is then a new class, so nothing is deduplicated.
+The walk's last order is only counted: a child whose new vertex is alone
+in the first refined colour cell is counted without a key.
 At its first big level a walk forks one pool of worker processes
 (``_pool.Pool``), one per usable core after the first, which serves that
 level and every later one: each level is sent to the workers, and they and
@@ -348,10 +350,19 @@ def _orbit(a: int, moves) -> set[int]:
     return orbit
 
 
-def _children(parents, constraint: CliqueConstraint) -> list[tuple]:
+def _children(parents, constraint: CliqueConstraint,
+              count: bool = False) -> list:
     """``(key, red, generators)`` of every kept child of ``parents``, in
-    order of parent and assignment; see :func:`_next_frontier`."""
+    order of parent and assignment; see :func:`_next_frontier`.
+
+    With ``count``, a one-item list of how many children are kept instead,
+    for an order that no later order grows from.  Tests 1 to 3 run as
+    before.  A child whose new vertex is alone in colour cell 0 is kept
+    without a key, since every least ordering starts in that cell, and the
+    key search of any other child collects no generators.
+    """
     children = []
+    kept = 0
     for red, generators in parents:
         v = len(red)
         degrees = [r.bit_count() for r in red]
@@ -369,15 +380,27 @@ def _children(parents, constraint: CliqueConstraint) -> list[tuple]:
                 if a in seen:
                     continue
                 seen |= _orbit(a, moves)
+            if count and (k < least or k == least and a & lowest == lowest):
+                # Below every other degree, the new vertex is alone in
+                # colour cell 0 before refinement.
+                _check_labelling_budget(v + 1)
+                kept += 1
+                continue
             child = _extend(red, a)
             colors = _refined_colors(child, v + 1, v)
             if colors[v]:
                 continue
-            found: set[bytes] = set()
-            key = _adjacency_key(child, colors, v, found)
-            if key is not None:
-                children.append((key, child, tuple(sorted(found))))
-    return children
+            if not count:
+                found: set[bytes] = set()
+                key = _adjacency_key(child, colors, v, found)
+                if key is not None:
+                    children.append((key, child, tuple(sorted(found))))
+            elif colors.count(0) == 1:
+                _check_labelling_budget(v + 1)
+                kept += 1
+            else:
+                kept += _adjacency_key(child, colors, v) is not None
+    return [kept] if count else children
 
 
 def _next_frontier(frontier, constraint: CliqueConstraint,
@@ -411,7 +434,9 @@ def _next_frontier(frontier, constraint: CliqueConstraint,
     ``pool``, its processes and this one claim chunks of the parents (see
     :meth:`Pool.run`), and the sort by key merges their children,
     so the frontier does not depend on the number of processes or on which
-    claimed which chunk.
+    claimed which chunk.  The walk's last order needs only how many
+    children are kept, and :func:`_count_children` counts them without
+    keys.
     """
     if pool is not None:
         children = pool.run(frontier)
@@ -425,20 +450,45 @@ def _next_frontier(frontier, constraint: CliqueConstraint,
     return children
 
 
+def _count_children(frontier, constraint: CliqueConstraint,
+                    pool: Pool | None = None) -> int:
+    """How many classes :func:`_next_frontier` returns, counted without
+    keys.
+
+    The same tests 1 to 3 run, but a child whose new vertex is alone in
+    refined colour cell 0 is kept without a key search.  Every least
+    ordering starts with a vertex of cell 0, so it starts with the new
+    vertex, which passes test 4.  The new vertex is alone in cell 0 when
+    its degree is below every other vertex's, with no refinement, or when
+    refinement leaves it alone there.  Any other child runs test 4, the
+    key search, without collecting generators.  A child that passes tests
+    1 to 3 past the labelling budget raises the :class:`BudgetError` that
+    the key search would.  With a ``pool``, its processes and this one
+    count chunks of the parents, and the counts are added up.
+    """
+    if pool is not None:
+        return sum(pool.run(frontier, count=True))
+    return _children(frontier, constraint, count=True)[0]
+
+
 def _walk(constraint: CliqueConstraint,
           v_max: int) -> tuple[tuple[int, int], ...]:
     """Grow the frontier of good canonical classes to order ``v_max``.
 
     Returns the ``(v, count)`` profile, stopping after the first zero.
-    Past the canonical labelling budget the :class:`BudgetError` carries
-    the profile of the finished orders.  At the first level of at least
-    ``_PARALLEL_MIN_PARENTS`` parents the walk forks a :class:`Pool` of
-    one worker per usable core after the first, which computes that level
-    and every later one with this process; the pool's workers are killed
-    and reaped however the walk ends.  When :func:`allowed_processes`
-    forbids a fork (one core, no ``fork``, or a second thread alive) the
-    walk runs serially, and a pool whose workers cannot all be started
-    works with those it has.
+    Every order but the last is keyed by :func:`_next_frontier`, which
+    keeps the representatives and generators the next order grows from.
+    The last order is only counted, by :func:`_count_children`, which
+    keeps no colouring and keys only children it cannot accept by their
+    colour cell.  Past the canonical labelling budget the
+    :class:`BudgetError` carries the profile of the finished orders.  At
+    the first level of at least ``_PARALLEL_MIN_PARENTS`` parents the walk
+    forks a :class:`Pool` of one worker per usable core after the first,
+    which computes that level and every later one with this process; the
+    pool's workers are killed and reaped however the walk ends.  When
+    :func:`allowed_processes` forbids a fork (one core, no ``fork``, or a
+    second thread alive) the walk runs serially, and a pool whose workers
+    cannot all be started works with those it has.
     """
     frontier = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(frontier))]
@@ -451,10 +501,14 @@ def _walk(constraint: CliqueConstraint,
                     pool = Pool(partial(_children, constraint=constraint),
                                 processes, "glue", "children")
             try:
-                frontier = _next_frontier(frontier, constraint, pool)
+                if len(profile) + 1 < v_max:
+                    frontier = _next_frontier(frontier, constraint, pool)
+                    count = len(frontier)
+                else:
+                    count = _count_children(frontier, constraint, pool)
             except BudgetError as exc:
                 raise BudgetError(str(exc), partial=tuple(profile)) from exc
-            profile.append((len(profile) + 1, len(frontier)))
+            profile.append((len(profile) + 1, count))
         return tuple(profile)
     finally:
         if pool is not None:
@@ -590,10 +644,7 @@ def _adjacency_key(red, colors=None, first=None,
     generators.
     """
     v = len(red)
-    if v > _CANONICAL_V_BUDGET:
-        raise BudgetError(
-            f"canonical_key supports v <= {_CANONICAL_V_BUDGET}, got {v}",
-            partial=None)
+    _check_labelling_budget(v)
     if v == 1:
         return bytes([1])
     if colors is None:
@@ -711,6 +762,15 @@ def _adjacency_key(red, colors=None, first=None,
     return bytes(out)
 
 
+def _check_labelling_budget(v: int) -> None:
+    """Raise :class:`BudgetError` when order ``v`` is past the canonical
+    labelling cap."""
+    if v > _CANONICAL_V_BUDGET:
+        raise BudgetError(
+            f"canonical_key supports v <= {_CANONICAL_V_BUDGET}, got {v}",
+            partial=None)
+
+
 def _closure(mask: int, images) -> int:
     """The least vertex mask containing ``mask`` that every permutation of
     ``images`` maps onto itself."""
@@ -768,8 +828,12 @@ def frontier_profile(constraint: CliqueConstraint,
     """Number of good canonical classes at each order 1..v_max.
 
     Stops early once the frontier empties; the final recorded count is 0.
-    Past the canonical labelling budget, :class:`BudgetError` carries the
-    profile of the orders already finished.
+    The count at ``v_max`` is taken without keying or keeping its classes:
+    a class whose new vertex is alone in the first refined colour cell
+    passes the canonical augmentation test without a key search (see
+    :func:`_count_children`).  Past the canonical labelling budget,
+    :class:`BudgetError` carries the profile of the orders already
+    finished.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")

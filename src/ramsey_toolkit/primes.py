@@ -4,10 +4,12 @@ A prime-sequence number of order k admits a factorisation using only the
 first k primes, with a cap on how many distinct primes appear and how large
 each exponent may grow.  The module enumerates such numbers inside integer
 windows and ranks the admissible candidates by one fixed key: smallest
-largest exponent, then fewest distinct primes, then smallest value.  A
-persistence scan factorises and ranks its window once, reads the winner at
-every order k off that ranking, and returns the selection that persists
-longest.
+largest exponent, then fewest distinct primes, then smallest value.
+Membership divides only by the basis primes, so a value with a factor
+outside the basis is dropped without being factorised in full.  A
+persistence scan factorises and ranks its window once over its largest
+basis, reads the winner at every order k off that ranking, and returns the
+selection that persists longest.
 """
 
 from __future__ import annotations
@@ -103,6 +105,22 @@ def factorize(q: int) -> PrimeSignature:
     return PrimeSignature(tuple(factors))
 
 
+def _basis_signature(q: int, basis) -> PrimeSignature | None:
+    """Signature of ``q >= 1`` when all its prime factors lie in ``basis``
+    (ascending primes), otherwise None; divides only by the basis."""
+    factors: list[tuple[int, int]] = []
+    for p in basis:
+        if q == 1:
+            break
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            factors.append((p, e))
+    return PrimeSignature(tuple(factors)) if q == 1 else None
+
+
 def _within_caps(sig: PrimeSignature, query: PSQuery) -> bool:
     return (sig.distinct <= query.max_distinct
             and sig.max_exponent <= query.max_exponent)
@@ -118,13 +136,17 @@ def _rank_key(sig: PrimeSignature) -> tuple[int, int, int]:
     return sig.max_exponent, sig.distinct, sig.value
 
 
-def _ranked_window(lo: int, hi: int, query: PSQuery) -> list[PrimeSignature]:
-    """Signatures of the values in ``[lo, hi]`` within the caps of
-    ``query``, in rank order, whatever the basis order."""
+def _ranked_window(lo: int, hi: int, query: PSQuery,
+                   k: int) -> list[PrimeSignature]:
+    """Signatures of the values in ``[lo, hi]`` whose primes lie among the
+    first ``k`` and that are within the caps of ``query``, in rank order."""
     if hi < lo:
         raise ValueError(f"window [lo, hi] requires hi >= lo, got [{lo}, {hi}]")
-    signatures = (factorize(q) for q in range(max(lo, 1), hi + 1))
-    return sorted((sig for sig in signatures if _within_caps(sig, query)),
+    basis = first_primes(k)
+    signatures = (_basis_signature(q, basis)
+                  for q in range(max(lo, 1), hi + 1))
+    return sorted((sig for sig in signatures
+                   if sig is not None and _within_caps(sig, query)),
                   key=_rank_key)
 
 
@@ -136,8 +158,10 @@ def is_prime_sequence(q: int, query: PSQuery) -> bool:
     ``q = 1`` has no prime factors and satisfies any query vacuously.
     Raises ``ValueError`` for ``q < 1``.
     """
-    sig = factorize(q)
-    return _within_caps(sig, query) and _in_basis(sig, query.k)
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    sig = _basis_signature(q, first_primes(query.k))
+    return sig is not None and _within_caps(sig, query)
 
 
 def enumerate_ps(lo: int, hi: int, query: PSQuery) -> tuple[int, ...]:
@@ -164,8 +188,8 @@ def select_candidate(lo: int, hi: int, query: PSQuery) -> SelectionResult:
     ``value=None`` with an empty ranking when the window admits no
     candidate at this query.
     """
-    ranking = tuple(sig.value for sig in _ranked_window(lo, hi, query)
-                    if _in_basis(sig, query.k))
+    ranking = tuple(sig.value
+                    for sig in _ranked_window(lo, hi, query, query.k))
     return SelectionResult(value=ranking[0] if ranking else None,
                            ranking=ranking)
 
@@ -188,20 +212,21 @@ def persistence_scan(n_diag: int, lo: int, hi: int,
                      query_template: PSQuery | None = None) -> PersistenceResult:
     """Scan basis orders k and return the longest-lived selection.
 
-    The window ``[lo, hi]`` is factorised and ranked once, in the order of
-    :func:`select_candidate`.  For each k from the smallest order admitting
-    a candidate up to ``2 * n_diag - 1``, the winner is the first ranked
-    value whose primes all lie among the first k: the head
-    :func:`select_candidate` returns at that k.  The result is the value
-    whose consecutive run of wins is longest, ties resolved toward the
-    latest run.  ``query_template`` supplies the distinct/exponent caps;
-    its ``k`` field is ignored.  Raises ``ValueError`` when no k in range
-    admits any candidate.
+    The window ``[lo, hi]`` is factorised over the first ``2 * n_diag - 1``
+    primes and ranked once, in the order of :func:`select_candidate`; a
+    value with a prime outside that basis wins at no order.  For each k
+    from the smallest order admitting a candidate up to ``2 * n_diag - 1``,
+    the winner is the first ranked value whose primes all lie among the
+    first k: the head :func:`select_candidate` returns at that k.  The
+    result is the value whose consecutive run of wins is longest, ties
+    resolved toward the latest run.  ``query_template`` supplies the
+    distinct/exponent caps; its ``k`` field is ignored.  Raises
+    ``ValueError`` when no k in range admits any candidate.
     """
     if n_diag < 1:
         raise ValueError(f"n_diag must be >= 1, got {n_diag}")
-    ranked = _ranked_window(lo, hi, query_template or PSQuery(k=1))
     k_max = 2 * n_diag - 1
+    ranked = _ranked_window(lo, hi, query_template or PSQuery(k=1), k_max)
     heads = ((k, next((sig.value for sig in ranked if _in_basis(sig, k)), None))
              for k in range(1, k_max + 1))
     selections = tuple((k, value) for k, value in heads if value is not None)

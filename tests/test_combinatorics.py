@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from functools import partial
 
 import numpy as np
@@ -32,6 +33,10 @@ from conftest import coloring_from_red_edges, permute_coloring
 
 # A parallel cut-off larger than any frontier: the walk stays serial.
 _NEVER = 1 << 62
+
+# Walks small enough to check every order against the per-assignment oracle.
+_ORACLE_WALKS = [(3, 3, 6), (3, 4, 9), (3, 5, 9), (4, 4, 7), (2, 5, 6),
+                 (4, 3, 8), (5, 3, 8)]
 
 
 def oracle_has_clique(coloring: EdgeColoring, size: int, red: bool) -> bool:
@@ -734,8 +739,7 @@ class TestReferenceKey:
 
     @pytest.mark.parametrize("m,n,v_max", [(3, 5, 9), (4, 4, 6)])
     def test_walk_children(self, m, n, v_max, monkeypatch):
-        # Serial walk: keys made in forked workers are not recorded here.
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", _NEVER)
+        # Every order keyed, as the walk keys all but its last, serially.
         keyed = []
         key = combinatorics._adjacency_key
 
@@ -744,7 +748,10 @@ class TestReferenceKey:
             return key(red, *args)
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", recording_key)
-        frontier_profile(CliqueConstraint(m, n), v_max)
+        frontier = [((0,), ())]
+        for _ in range(v_max - 1):
+            frontier = combinatorics._next_frontier(
+                frontier, CliqueConstraint(m, n))
         monkeypatch.undo()
         assert keyed
         for red in keyed:
@@ -853,9 +860,7 @@ class TestGlue:
         assert info.value.partial == (
             (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))
 
-    @pytest.mark.parametrize("m,n,v_max", [
-        (3, 3, 6), (3, 4, 9), (3, 5, 9), (4, 4, 7), (2, 5, 6), (4, 3, 8),
-        (5, 3, 8)])
+    @pytest.mark.parametrize("m,n,v_max", _ORACLE_WALKS)
     def test_walk_matches_per_assignment_oracle(self, m, n, v_max):
         # Representatives are the first children the walk accepts, not the
         # oracle's first children, so the two are compared by their keys.
@@ -869,6 +874,120 @@ class TestGlue:
             assert len(set(keys)) == len(keys)
             assert keys == [combinatorics._adjacency_key(red)
                             for red in expected]
+
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["serial", "pooled"])
+    @pytest.mark.parametrize("m,n,v_max", _ORACLE_WALKS)
+    def test_last_order_count_matches_keyed(self, m, n, v_max, pooled,
+                                            monkeypatch):
+        # Each order of the walk, taken as its last, is counted without
+        # keys; the count must be the number of classes the keyed step
+        # gives at that order.
+        if pooled:
+            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        else:
+            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS",
+                                _NEVER)
+        constraint = CliqueConstraint(m, n)
+        frontier = [((0,), ())]
+        for v in range(2, v_max + 1):
+            count = combinatorics._count_children(frontier, constraint)
+            frontier = combinatorics._next_frontier(frontier, constraint)
+            assert count == len(frontier)
+            assert frontier_profile(constraint, v)[-1] == (v, len(frontier))
+            if not frontier:
+                break
+
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["serial", "pooled"])
+    @pytest.mark.parametrize("m,n,v,route,partial", [
+        (3, 3, 4, "key", ((1, 1), (2, 2), (3, 2))),
+        (3, 4, 7, "refinement",
+         ((1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))),
+        (3, 5, 8, "degree",
+         ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71)))],
+        ids=["r33_v4", "r34_v7", "r35_v8"])
+    def test_counted_order_past_the_cap(self, m, n, v, route, partial,
+                                        pooled, monkeypatch):
+        # With the cap one below the last order, the first child that
+        # passes tests 1 to 3 raises the key search's error, whether the
+        # key search, refinement or degree alone would take it.  Serially
+        # the first such child is taken by ``route``: the key search is
+        # never reached in the two shortcut cases, nor refinement in the
+        # degree case.
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", v - 1)
+        refined = []
+        if pooled:
+            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        else:
+            refine = combinatorics._refined_colors
+
+            def recording(red, *args):
+                if len(red) == v:
+                    refined.append(red)
+                return refine(red, *args)
+
+            monkeypatch.setattr(combinatorics, "_refined_colors", recording)
+        with pytest.raises(BudgetError) as info:
+            frontier_profile(CliqueConstraint(m, n), v)
+        assert str(info.value) == \
+            f"canonical_key supports v <= {v - 1}, got {v}"
+        assert info.value.partial == partial
+        if pooled:
+            return
+        frames = [frame.name for frame in
+                  traceback.extract_tb(info.value.__cause__.__traceback__)]
+        assert frames[-1] == "_check_labelling_budget"
+        assert (frames[-2] == "_adjacency_key") == (route == "key")
+        assert bool(refined) == (route != "degree")
+
+    @pytest.mark.parametrize("red,route", [
+        ((6, 9, 17, 18, 12), "degree"),
+        ((22, 9, 9, 38, 1, 8), "refinement")], ids=["red_c5", "v6"])
+    def test_shortcut_children(self, red, route, monkeypatch):
+        # Under (3,5), every child of these parents that passes tests 1 to
+        # 3 is taken by ``route`` (two children each): they are counted
+        # with no key search, refinement leaves a new vertex alone in cell
+        # 0 only on the refinement route, and past the cap the first of
+        # them raises the key search's error.
+        constraint = CliqueConstraint(3, 5)
+        generators = set()
+        combinatorics._adjacency_key(red, None, None, generators)
+        parents = [(red, tuple(sorted(generators)))]
+        v = len(red) + 1
+        assert len(combinatorics._next_frontier(parents, constraint)) == 2
+        key = combinatorics._adjacency_key
+        refine = combinatorics._refined_colors
+        alone = []
+
+        def no_key(child, *args):
+            assert len(child) != v, "key search at the counted order"
+            return key(child, *args)
+
+        def recording(child, *args):
+            colors = refine(child, *args)
+            if len(child) == v:
+                alone.append(colors[-1] == 0 and colors.count(0) == 1)
+            return colors
+
+        monkeypatch.setattr(combinatorics, "_adjacency_key", no_key)
+        monkeypatch.setattr(combinatorics, "_refined_colors", recording)
+        assert combinatorics._count_children(parents, constraint) == 2
+        assert any(alone) == (route == "refinement")
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", v - 1)
+        with pytest.raises(BudgetError) as info:
+            combinatorics._count_children(parents, constraint)
+        assert str(info.value) == \
+            f"canonical_key supports v <= {v - 1}, got {v}"
+        assert info.value.partial is None
+
+    def test_counted_order_past_the_cap_without_children(self, monkeypatch):
+        # No child of the (3,4) v=8 classes passes tests 1 to 3, so the
+        # walk ends on a count of 0 past the cap, as it did when keyed.
+        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 8)
+        assert frontier_profile(CliqueConstraint(3, 4), 9)[-1] == (9, 0)
 
     @pytest.mark.parametrize("m,n,v,count,digest", [
         (3, 5, 10, 313, "b49c95bd265f020e876dacfacc550f20"
@@ -1004,8 +1123,9 @@ class TestOrbitPruning:
         assert generators == set()
 
     def test_every_accepted_key_is_a_new_class(self, monkeypatch):
-        # Serial walk, so the wrapper sees every key in this process.
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", _NEVER)
+        # Every order keyed serially, so the wrapper sees every key in this
+        # process; the walk's own profile, whose last order is counted,
+        # must add up to the same number of classes.
         accepted = []
         key = combinatorics._adjacency_key
 
@@ -1016,8 +1136,13 @@ class TestOrbitPruning:
             return out
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", counting_key)
-        profile = frontier_profile(CliqueConstraint(3, 5), 10)
+        frontier = [((0,), ())]
+        for _ in range(9):
+            frontier = combinatorics._next_frontier(
+                frontier, CliqueConstraint(3, 5))
+        monkeypatch.undo()
         assert len(set(accepted)) == len(accepted) == 910
+        profile = frontier_profile(CliqueConstraint(3, 5), 10)
         assert sum(count for _, count in profile[1:]) == 910
 
     @given(st.integers(min_value=2, max_value=9), st.data())
@@ -1172,8 +1297,10 @@ class TestParallelWalk:
     @staticmethod
     def record_levels(monkeypatch) -> list:
         """Record ``(frontier, pool, its worker count, next frontier)`` of
-        every level."""
+        every level.  The counted last level is also keyed, on the same
+        pool, and its count must equal the number of keyed classes."""
         next_frontier = combinatorics._next_frontier
+        count_children = combinatorics._count_children
         recorded = []
 
         def recording(frontier, constraint, pool=None):
@@ -1183,7 +1310,13 @@ class TestParallelWalk:
                              out))
             return out
 
+        def counting(frontier, constraint, pool=None):
+            count = count_children(frontier, constraint, pool)
+            assert count == len(recording(frontier, constraint, pool))
+            return count
+
         monkeypatch.setattr(combinatorics, "_next_frontier", recording)
+        monkeypatch.setattr(combinatorics, "_count_children", counting)
         return recorded
 
     @pytest.mark.parametrize("m,n,v_max,final", [
@@ -1263,14 +1396,15 @@ class TestParallelWalk:
         # Forked children inherit the patched labelling and cut-off, so
         # only the children's share of the v=11 level raises.
         main = os.getpid()
-        adjacency_key = combinatorics._adjacency_key
+        check = combinatorics._check_labelling_budget
 
-        def budget_in_child(red, *args):
-            if os.getpid() != main and len(red) > 10:
+        def budget_in_child(v):
+            if os.getpid() != main and v > 10:
                 raise BudgetError("labelling budget exceeded in a child")
-            return adjacency_key(red, *args)
+            check(v)
 
-        monkeypatch.setattr(combinatorics, "_adjacency_key", budget_in_child)
+        monkeypatch.setattr(combinatorics, "_check_labelling_budget",
+                            budget_in_child)
         monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         if len(os.sched_getaffinity(0)) == 1:
             assert frontier_profile(CliqueConstraint(3, 5), 11)[-1] == \
@@ -1299,7 +1433,7 @@ class TestParallelWalk:
         raised = tmp_path / "raised"
         children = combinatorics._children
 
-        def failing(parents, constraint):
+        def failing(parents, constraint, **options):
             if os.getpid() != main:
                 raised.touch()
                 raise LocalError("not picklable")
@@ -1307,7 +1441,7 @@ class TestParallelWalk:
             while (len(parents[0][0]) >= 3 and not raised.exists()
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
-            return children(parents, constraint)
+            return children(parents, constraint, **options)
 
         monkeypatch.setattr(combinatorics, "_children", failing)
         monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
@@ -1329,14 +1463,15 @@ class TestParallelWalk:
         # This process's chunks of the v=11 level raise while the workers'
         # succeed: the partial profile survives and every worker is reaped.
         main = os.getpid()
-        adjacency_key = combinatorics._adjacency_key
+        check = combinatorics._check_labelling_budget
 
-        def budget_here(red, *args):
-            if os.getpid() == main and len(red) > 10:
+        def budget_here(v):
+            if os.getpid() == main and v > 10:
                 raise BudgetError("labelling budget exceeded here")
-            return adjacency_key(red, *args)
+            check(v)
 
-        monkeypatch.setattr(combinatorics, "_adjacency_key", budget_here)
+        monkeypatch.setattr(combinatorics, "_check_labelling_budget",
+                            budget_here)
         monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         fds = len(os.listdir("/proc/self/fd"))
@@ -1451,9 +1586,9 @@ except RuntimeError as exc:
         started = tmp_path / "started"
         children = combinatorics._children
 
-        def share(parents, constraint):
+        def share(parents, constraint, **options):
             if len(parents[0][0]) < 3:
-                return children(parents, constraint)
+                return children(parents, constraint, **options)
             if os.getpid() != main:
                 (tmp_path / "pid").write_text(str(os.getpid()))
                 os.replace(tmp_path / "pid", started)
@@ -1502,14 +1637,14 @@ def stall():
     print("stalled", flush=True)
     time.sleep(120)
 
-def stalling_children(parents, constraint):
+def stalling_children(parents, constraint, **options):
     if len(parents[0][0]) == 6:
         if os.getpid() == MAIN:
             stall()
         deadline = time.monotonic() + 60
         while not os.path.exists(GATE) and time.monotonic() < deadline:
             time.sleep(0.001)
-    return children(parents, constraint)
+    return children(parents, constraint, **options)
 
 def stalling_write(fd, data):
     # Only the token write ends in end markers (0xFFFF).

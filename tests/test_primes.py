@@ -159,15 +159,54 @@ class TestPersistence:
         assert result.selections == tuple(expected)
 
     def test_scan_factorizes_each_value_once(self, monkeypatch):
+        # Over the scan's largest basis, the first 2 * n_diag - 1 primes;
+        # no value is factorised in full.
         calls = []
+        signature = primes._basis_signature
 
-        def counting(q):
+        def counting(q, basis):
             calls.append(q)
-            return factorize(q)
+            assert basis == first_primes(13)
+            return signature(q, basis)
 
-        monkeypatch.setattr(primes, "factorize", counting)
+        def full(q):
+            raise AssertionError("full factorisation in the scan")
+
+        monkeypatch.setattr(primes, "_basis_signature", counting)
+        monkeypatch.setattr(primes, "factorize", full)
         persistence_scan(7, 205, 492)
         assert sorted(calls) == list(range(205, 493))
+
+    @pytest.mark.parametrize("caps", [(4, 10), (2, 9), (3, 3), (6, 30)])
+    @pytest.mark.parametrize("lo, hi", [
+        (10 ** 9 - 100, 10 ** 9 + 100), (1000016400, 1000016600)])
+    def test_large_windows_match_full_factorisation(self, lo, hi, caps):
+        # Near 10^9 most values have a prime factor far outside any basis;
+        # the reference factorises every value in full and filters.
+        signatures = [factorize(q) for q in range(lo, hi + 1)]
+        heads = []
+        for k in range(1, 14):
+            query = PSQuery(k, *caps)
+            admitted = [sig for sig in signatures
+                        if sig.distinct <= caps[0]
+                        and sig.max_exponent <= caps[1]
+                        and all(p in first_primes(k) for p, _ in sig.factors)]
+            ranking = tuple(sig.value for sig in sorted(
+                admitted,
+                key=lambda sig: (sig.max_exponent, sig.distinct, sig.value)))
+            assert select_candidate(lo, hi, query).ranking == ranking
+            values = set(ranking)
+            assert [q for q in range(lo, hi + 1)
+                    if is_prime_sequence(q, query)] == sorted(values)
+            assert enumerate_ps(lo - 1, hi, query) == tuple(sorted(values))
+            if ranking:
+                heads.append((k, ranking[0]))
+        if not heads:
+            with pytest.raises(ValueError):
+                persistence_scan(7, lo, hi, PSQuery(1, *caps))
+            return
+        assert persistence_scan(7, lo, hi, PSQuery(1, *caps)).selections == \
+            tuple(heads)
 
 
 class TestGrowthRatio:
