@@ -21,8 +21,7 @@ from .diagnostics import (ConstraintRestricted, DecisionThresholds,
                           sample_directions, slope_fit)
 from .primes import (PersistenceResult, PrimeSignature, PSQuery,
                      SelectionResult, enumerate_ps, factorize, first_primes,
-                     growth_ratio, is_prime_sequence, persistence_scan,
-                     select_candidate)
+                     is_prime_sequence, persistence_scan, select_candidate)
 from .qsim import (BlockEncoding, PhaseWrapError, TraceEstimate,
                    block_encode_rank1, encode_operator, hadamard_test,
                    hutchinson_trace, lcu_block_encode, phase_estimate_dilation,
@@ -48,8 +47,8 @@ __all__ = [
     "linear_witness", "lyapunov_rate", "mean_field_trace", "miss_probability",
     "run_diagnostics", "sample_directions", "slope_fit",
     "PersistenceResult", "PrimeSignature", "PSQuery", "SelectionResult",
-    "enumerate_ps", "factorize", "first_primes", "growth_ratio",
-    "is_prime_sequence", "persistence_scan", "select_candidate",
+    "enumerate_ps", "factorize", "first_primes", "is_prime_sequence",
+    "persistence_scan", "select_candidate",
     "BlockEncoding", "PhaseWrapError", "TraceEstimate", "block_encode_rank1",
     "encode_operator", "hadamard_test", "hutchinson_trace", "lcu_block_encode",
     "phase_estimate_dilation", "phase_resolution",

@@ -1,12 +1,12 @@
-"""Forked worker processes that share a list of work items with this one.
+"""Forked worker processes that share one list of work items with this one.
 
-A :class:`Pool` forks its workers once, from this process's memory, so the
-work function and everything it reaches are inherited, not pickled.  For
-each list of items, the workers and this process claim chunks of the list
-from one shared pipe until none is left, apply the work function to each
-chunk they claim, and the workers send their results back pickled.  The
-glue walk runs its levels on one pool per walk, and the diagnostics sweep
-its orders on one pool per sweep.
+:func:`run` writes the list's chunk tokens into one pipe, then forks its
+workers from this process's memory, so the work function, the items and
+everything they reach are inherited, not pickled.  The workers and this
+process claim chunks from that pipe until none is left and apply the work
+function to each chunk they claim, and the workers send their results
+back pickled.  The glue walk runs the subtrees below its split order in
+one call, and the diagnostics sweep its orders in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 import pickle
 import signal
 import threading
-from functools import partial
 
 # A list is cut into at least this many chunks per process, or one chunk
 # per item when there are fewer; chunk i holds every chunks-th item from
@@ -35,8 +34,8 @@ _CHUNKS_PER_PROCESS = 16
 # and the rest unpickling the worker's children.
 _ITEMS_PER_CHUNK = 16
 
-# Token of the pool's token pipe that ends a process's claims; chunk
-# indices stay below it.
+# Token of the token pipe that ends a process's claims; chunk indices stay
+# below it.
 _END = 0xFFFF
 
 
@@ -72,16 +71,21 @@ class WorkerError(RuntimeError):
         return f"{self.type_name}: {self.message}"
 
 
-def _claimed(items, chunks: int, tokens: int, work) -> list:
+def _claimed(items, chunks: int, tokens: int, work,
+             parent: int | None = None) -> list:
     """``work`` of each chunk of ``items`` that this process claims from the
     ``tokens`` pipe, up to the first end marker, concatenated.
 
     Chunk ``i`` of ``chunks`` holds every ``chunks``-th item from the
     ``i``-th.  End of file raises :class:`EOFError`: an empty read is not
-    chunk 0.
+    chunk 0.  With ``parent``, a chunk is claimed only while ``parent`` is
+    this process's parent; an orphan raises :class:`EOFError` at its next
+    claim.
     """
     results = []
     while True:
+        if parent is not None and os.getppid() != parent:
+            raise EOFError("the pool's main process has ended")
         token = os.read(tokens, 2)
         if len(token) != 2:
             raise EOFError("the pool's token pipe was closed")
@@ -103,174 +107,120 @@ def _chunk_count(items: int, processes: int, pipe_buf: int) -> int:
                pipe_buf // 2 - processes)
 
 
-class Pool:
-    """Forked worker processes that apply ``work`` to lists of items with
-    this one.
+def run(work, items, processes: int, name: str, results: str) -> list:
+    """``work`` of every chunk of ``items``, computed by up to ``processes``
+    processes and concatenated in an order that depends on who claimed
+    what.
 
-    ``work`` takes a list of items and returns a list of results.  The
-    workers are forked once and then serve one list after another.  For
-    each list, this process pickles ``(items, chunks, options)`` into every
-    worker's item pipe and writes the chunk indices, then one end marker per
-    process, into the token pipe that all of them read; each process claims
-    chunks until it reads an end marker.  Each worker then pickles
-    ``("ok", results)`` or ``("error", exception, traceback text)`` into
-    its own result pipe.  A worker ends on end of file from either pipe it
-    reads, so it does not outlive this process for long.  ``name`` and
-    ``results`` name the workers and their results in error messages.
+    ``work`` takes a list of items and returns a list of results.  With
+    fewer than two processes, or when the token pipe cannot be made, it
+    runs here on the whole list.  Otherwise this process writes the tokens
+    of :func:`_chunk_count` chunks, then one end marker per process, into
+    one token pipe, forks up to ``processes - 1`` workers, fewer if the
+    pipe's ``PIPE_BUF`` cannot hold the tokens of ``_CHUNKS_PER_PROCESS``
+    chunks for all of them, and claims chunks with them until it reads an
+    end marker.  If ``os.pipe`` or ``os.fork`` fails, the workers already
+    started claim with this process.  Each worker pickles ``("ok",
+    results)`` or ``("error", exception, traceback text)`` into its own
+    result pipe.  A worker's exception is raised here with the worker's
+    traceback as its cause; a worker that ends without its results raises
+    :class:`RuntimeError`.  ``name`` and ``results`` name the workers and
+    their results in error messages.  Every worker is killed and reaped
+    and every pipe closed however the call ends.
     """
-
-    def __init__(self, work, processes: int, name: str, results: str):
-        """Fork up to ``processes - 1`` workers, fewer if the token pipe's
-        ``PIPE_BUF`` cannot hold the tokens of ``_CHUNKS_PER_PROCESS``
-        chunks for all of them.  If ``os.pipe`` or ``os.fork`` fails, the
-        pool keeps the workers already started, and this process claims
-        what they leave."""
-        self.work = work
-        self.name = name
-        self.results = results
-        self.tokens: tuple[int, ...] = ()
-        self.pipe_buf = 0
-        self.workers: dict[int, tuple[int, object]] = {}
-        try:
-            try:
-                self.tokens = os.pipe()
-            except OSError:
-                return
-            # One list's tokens, two bytes for each chunk and each end
-            # marker, must fit in PIPE_BUF bytes to be written at once.
-            self.pipe_buf = os.fpathconf(self.tokens[1], "PC_PIPE_BUF")
-            most = self.pipe_buf // (2 * (_CHUNKS_PER_PROCESS + 1))
-            for _ in range(min(processes, most) - 1):
-                fds: list[int] = []
-                try:
-                    fds += os.pipe()
-                    fds += os.pipe()
-                    pid = os.fork()
-                except OSError:
-                    for fd in fds:
-                        os.close(fd)
-                    break
-                items, items_write, result_read, results_write = fds
-                if pid == 0:
-                    _serve(items, self.tokens[0], results_write, work,
-                           [self.tokens[1], items_write, result_read,
-                            *(end for fd, reader in self.workers.values()
-                              for end in (fd, reader.fileno()))])
-                os.close(items)
-                os.close(results_write)
-                self.workers[pid] = (items_write,
-                                     os.fdopen(result_read, "rb"))
-        except BaseException:
-            self.close()
-            raise
-
-    def run(self, items, **options) -> list:
-        """``work`` of every chunk of ``items``, computed by every process
-        of the pool and concatenated in an order that depends on who
-        claimed what.
-
-        Keyword ``options`` go to every ``work`` call of this list.  The
-        list is cut into :func:`_chunk_count` chunks.  A worker's
-        exception is raised here with the worker's traceback as its cause;
-        a worker that ends without its results raises
-        :class:`RuntimeError`.
-        """
-        if not self.workers:
-            return self.work(items, **options)
-        processes = len(self.workers) + 1
-        chunks = _chunk_count(len(items), processes, self.pipe_buf)
-        with memoryview(pickle.dumps((items, chunks, options),
-                                     pickle.HIGHEST_PROTOCOL)) as task:
-            for pid, (fd, _) in list(self.workers.items()):
-                sent = 0
-                try:
-                    while sent < len(task):
-                        sent += os.write(fd, task[sent:])
-                except BrokenPipeError:
-                    raise self._lost(pid) from None
+    if processes < 2:
+        return work(items)
+    try:
+        tokens = os.pipe()
+    except OSError:
+        return work(items)
+    workers: dict[int, object] = {}
+    try:
+        # The tokens, two bytes for each chunk and each end marker, must
+        # fit in PIPE_BUF bytes to be written at once.
+        pipe_buf = os.fpathconf(tokens[1], "PC_PIPE_BUF")
+        processes = min(processes,
+                        pipe_buf // (2 * (_CHUNKS_PER_PROCESS + 1)))
+        chunks = _chunk_count(len(items), processes, pipe_buf)
         # At most PIPE_BUF bytes into an empty pipe: one write that never
         # blocks and that no reader sees in part.
-        os.write(self.tokens[1], b"".join(
+        os.write(tokens[1], b"".join(
             i.to_bytes(2, "little")
             for i in [*range(chunks), *[_END] * processes]))
-        results = _claimed(items, chunks, self.tokens[0],
-                           partial(self.work, **options))
-        for pid, (_, reader) in list(self.workers.items()):
+        main = os.getpid()
+        for _ in range(processes - 1):
+            try:
+                result_read, result_write = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(result_read)
+                os.close(result_write)
+                break
+            if pid == 0:
+                _serve(items, chunks, tokens[0], result_write, work, main,
+                       [tokens[1], result_read,
+                        *(reader.fileno() for reader in workers.values())])
+            os.close(result_write)
+            workers[pid] = os.fdopen(result_read, "rb")
+        out = _claimed(items, chunks, tokens[0], work)
+        for pid, reader in list(workers.items()):
             try:
                 result = pickle.load(reader)
             except (EOFError, pickle.UnpicklingError):
-                raise self._lost(pid) from None
+                reader.close()
+                del workers[pid]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"{name} worker {pid} ended with status "
+                                   f"{status} without its {results}") from None
             if result[0] == "error":
                 raise result[1] from RuntimeError(
-                    f"in {self.name} worker {pid}:\n{result[2]}")
-            results += result[1]
-        return results
-
-    def _lost(self, pid: int) -> RuntimeError:
-        """Reap worker ``pid``, which closed its pipes by ending, and
-        describe it."""
-        fd, reader = self.workers.pop(pid)
-        os.close(fd)
-        reader.close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return RuntimeError(f"{self.name} worker {pid} ended with status "
-                            f"{status} without its {self.results}")
-
-    def close(self) -> None:
-        """Kill and reap every worker and close every pipe."""
-        for pid, (fd, reader) in self.workers.items():
+                    f"in {name} worker {pid}:\n{result[2]}")
+            out += result[1]
+        return out
+    finally:
+        for pid, reader in workers.items():
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-            os.close(fd)
             reader.close()
-        self.workers.clear()
-        for fd in self.tokens:
+        for fd in tokens:
             os.close(fd)
-        self.tokens = ()
 
 
-def _serve(items: int, tokens: int, results: int, work,
+def _serve(items, chunks: int, tokens: int, results: int, work, main: int,
            inherited: list[int]):
-    """Body of a worker process of :class:`Pool`; never returns.
+    """Body of a worker process of :func:`run`; never returns.
 
-    The worker first closes the ``inherited`` descriptors of the pool's
-    other pipe ends, so that it holds no write end of a pipe it reads and
-    the pool's death is end of file there.  An exception that does not
-    survive a pickle round trip is sent as a :class:`WorkerError`.
+    The worker first closes the ``inherited`` descriptors of the other pipe
+    ends, so that it holds no write end of the token pipe and no other
+    worker's result pipe, then claims chunks while ``main`` is its parent.
+    An exception that does not survive a pickle round trip is sent as a
+    :class:`WorkerError`.
     """
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
-        with os.fdopen(items, "rb") as inbox, \
-                os.fdopen(results, "wb") as out:
-            while True:
-                # The list's items and ``result`` go once the results are
-                # sent, so nothing waits here for the next list.
+        with os.fdopen(results, "wb") as out:
+            try:
+                result = "ok", _claimed(items, chunks, tokens, work, main)
+            except BaseException as exc:
+                import traceback
+                text = traceback.format_exc()
+                sent = exc
                 try:
-                    batch, chunks, options = pickle.load(inbox)
-                    result = "ok", _claimed(batch, chunks, tokens,
-                                            partial(work, **options))
-                except EOFError:
-                    break
-                except BaseException as exc:
-                    import traceback
-                    text = traceback.format_exc()
-                    sent = exc
-                    try:
-                        pickle.loads(pickle.dumps(exc,
-                                                  pickle.HIGHEST_PROTOCOL))
-                    except Exception:
-                        sent = WorkerError(
-                            f"{type(exc).__module__}.{type(exc).__qualname__}",
-                            str(exc), text)
-                    result = "error", sent, text
-                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-                batch = result = None
+                    pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:
+                    sent = WorkerError(
+                        f"{type(exc).__module__}.{type(exc).__qualname__}",
+                        str(exc), text)
+                result = "error", sent, text
+            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)

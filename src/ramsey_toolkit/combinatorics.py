@@ -16,14 +16,16 @@ most children are rejected by degree, by the parent's automorphism orbits
 (one assignment per orbit is tried) and by colour before any key is
 computed.
 Every child that passes is then a new class, so nothing is deduplicated.
-The walk's last order is only counted: a child whose new vertex is alone
-in the first refined colour cell is counted without a key.
-At its first big level a walk forks one pool of worker processes
-(``_pool.Pool``), one per usable core after the first, which serves that
-level and every later one: each level is sent to the workers, and they and
-this process claim chunks of its parents from one shared pipe until none
-is left.  The children are merged by key, so the result does not depend on
-the number of cores or on who claimed which chunk.  Canonical labelling
+Only the class counts are wanted, so the walk holds no whole order past
+a split order: each class of that order has its subtree walked
+depth-first, one parent at a time, and the walk's last order is only
+counted: a child whose new vertex is alone in the first refined colour
+cell is counted without a key.  With more than one usable core, one call
+of ``_pool.run`` forks a worker per core after the first, and the workers
+and this process claim chunks of the split order's classes from one shared
+pipe until none is left.  Each chunk returns one count vector and the
+vectors are added, so the result does not depend on the number of cores or
+on who claimed which chunk.  Canonical labelling
 refines red-degree colours by counting red neighbours per colour cell,
 then searches for the least ordering one colour cell at a time, branching
 only among tied cell members.  The search prunes by the automorphisms it
@@ -43,7 +45,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._pool import Pool, allowed_processes
+from . import _pool
+from ._pool import allowed_processes
 
 __all__ = [
     "CliqueConstraint",
@@ -75,20 +78,6 @@ _ENUM_EDGE_BUDGET = 28
 # Canonical labelling cap; the search is exact but has a factorial worst case
 # (large cells of tied, non-twin vertices).
 _CANONICAL_V_BUDGET = 12
-
-# The walk starts its worker pool at the first level with at least this
-# many parents, and the pool then serves every later level.  On a 2-core
-# x86-64 VM (medians of 41 alternating serial and pooled _next_frontier
-# calls with a warm two-process pool), a pooled level beats a serial one
-# from 3 parents on: 7 parents took 0.69 ms serially and 0.44 ms pooled,
-# 13 parents 2.29 and 1.34 ms, 32 parents 5.72 and 3.09 ms.  But starting
-# and stopping the pool costs about 1.1 ms, and its first level about
-# 0.7 ms more while the worker warms up.  brute_force_ramsey((3,4), 10),
-# whose walk peaks at 15 parents, took 5.6-5.8 ms with a pool started at
-# its 9-parent level and 4.5-4.8 ms without one, while the (3,5) walk to
-# v=10 and the (4,4) walk to v=7 took 60-61 ms together with any cut-off
-# from 3 to 24.  So the pool waits for a level that promises bigger ones.
-_PARALLEL_MIN_PARENTS = 24
 
 
 class BudgetError(RuntimeError):
@@ -352,14 +341,44 @@ def _orbit(a: int, moves) -> set[int]:
 
 def _children(parents, constraint: CliqueConstraint,
               count: bool = False) -> list:
-    """``(key, red, generators)`` of every kept child of ``parents``, in
-    order of parent and assignment; see :func:`_next_frontier`.
+    """``(key, red, generators)`` of every good one-vertex extension of
+    ``parents`` that is kept, one per canonical class, in order of parent
+    and assignment.
+
+    A parent is a ``(red, generators)`` pair: a colouring's red adjacency
+    masks and generators of its automorphism group, vertex permutations as
+    ``bytes`` of images, empty for a trivial group.  Canonical augmentation
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): a
+    child is kept only when its new vertex lies in the orbit of the first
+    vertex of its least ordering, so each class comes from exactly one
+    parent class.  Children are tried in ascending order of parent and
+    assignment and rejected as early as possible:
+
+    1. the new vertex must have the least red degree, which masks of the
+       parent's degrees decide without building the child;
+    2. its assignment must be the least of its orbit under the parent's
+       generators: an automorphism of the parent maps the children of one
+       orbit onto each other, new vertex onto new vertex;
+    3. it must lie in refined colour cell 0, the cell the least ordering
+       starts with, and refinement stops once it leaves;
+    4. some least ordering must start with it: :func:`_adjacency_key`
+       tries it first and gives up once another start beats it, and
+       otherwise returns the key and the child's generators.
+
+    Two kept children are isomorphic only when they share a parent and an
+    automorphism of the parent maps one assignment to the other, so after
+    test 2 every child kept is a new class and nothing is deduplicated.
 
     With ``count``, a one-item list of how many children are kept instead,
     for an order that no later order grows from.  Tests 1 to 3 run as
-    before.  A child whose new vertex is alone in colour cell 0 is kept
-    without a key, since every least ordering starts in that cell, and the
-    key search of any other child collects no generators.
+    before.  A child whose new vertex is alone in refined colour cell 0 is
+    kept without a key search: every least ordering starts with a vertex
+    of cell 0, so it starts with the new vertex, which passes test 4.  The
+    new vertex is alone there when its degree is below every other
+    vertex's, with no refinement, or when refinement leaves it alone.  Any
+    other child runs test 4 without collecting generators.  A child that
+    passes tests 1 to 3 past the labelling budget raises the
+    :class:`BudgetError` that the key search would.
     """
     children = []
     kept = 0
@@ -403,116 +422,96 @@ def _children(parents, constraint: CliqueConstraint,
     return [kept] if count else children
 
 
-def _next_frontier(frontier, constraint: CliqueConstraint,
-                   pool: Pool | None = None) -> list[tuple]:
-    """Good one-vertex extensions of good colourings, one per canonical
-    class, sorted by key.
+def _counts_below(parents, constraint: CliqueConstraint,
+                  v_max: int) -> list[tuple[list[int], int, BudgetError | None]]:
+    """One-item list ``[(counts, failed, error)]`` for ``parents`` of one
+    order v: ``counts[i]`` classes of order v + 1 + i <= ``v_max`` grow
+    from them.
 
-    The frontier holds ``(red, generators)`` pairs: a colouring's red
-    adjacency masks and generators of its automorphism group, vertex
-    permutations as ``bytes`` of images, empty for a trivial group.
-    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 1998): a child is kept only when its new vertex lies in
-    the orbit of the first vertex of its least ordering, so each class
-    comes from exactly one parent class.  Children are tried in ascending
-    order of parent and assignment and rejected as early as possible:
-
-    1. the new vertex must have the least red degree, which masks of the
-       parent's degrees decide without building the child;
-    2. its assignment must be the least of its orbit under the parent's
-       generators: an automorphism of the parent maps the children of one
-       orbit onto each other, new vertex onto new vertex;
-    3. it must lie in refined colour cell 0, the cell the least ordering
-       starts with, and refinement stops once it leaves;
-    4. some least ordering must start with it: :func:`_adjacency_key`
-       tries it first and gives up once another start beats it, and
-       otherwise returns the key and the child's generators.
-
-    Two kept children are isomorphic only when they share a parent and an
-    automorphism of the parent maps one assignment to the other, so after
-    test 2 every key is a new class and nothing is deduplicated.  With a
-    ``pool``, its processes and this one claim chunks of the parents (see
-    :meth:`Pool.run`), and the sort by key merges their children,
-    so the frontier does not depend on the number of processes or on which
-    claimed which chunk.  The walk's last order needs only how many
-    children are kept, and :func:`_count_children` counts them without
-    keys.
+    Each parent's subtree is walked depth-first with :func:`_children` on
+    one parent at a time, and order ``v_max`` is only counted, so no order
+    is held whole.  A :class:`BudgetError` from one call is caught as
+    ``error``, with ``failed`` the order of the children that call grows;
+    that parent's children are skipped, and so is every call that would
+    grow order ``failed`` or a later one, so ``failed`` is the least order
+    at which any call failed and every order before it is counted in full.
+    Without an error ``failed`` is ``v_max + 1``.
     """
-    if pool is not None:
-        children = pool.run(frontier)
-    else:
-        children = _children(frontier, constraint)
-    # Keys are distinct, so the sort never compares the colourings; both
-    # steps work in place, so the merge holds one list of the level.
-    children.sort()
-    for i, (_, red, generators) in enumerate(children):
-        children[i] = red, generators
-    return children
+    v = len(parents[0][0])
+    counts = [0] * (v_max - v)
+    failed, error = v_max + 1, None
 
+    def descend(red, generators):
+        nonlocal failed, error
+        w = len(red) + 1
+        if w >= failed:
+            return
+        try:
+            if w == v_max:
+                counts[-1] += _children([(red, generators)], constraint,
+                                        count=True)[0]
+                return
+            children = _children([(red, generators)], constraint)
+        except BudgetError as exc:
+            failed, error = w, exc
+            return
+        counts[w - v - 1] += len(children)
+        for _, child, child_generators in children:
+            descend(child, child_generators)
 
-def _count_children(frontier, constraint: CliqueConstraint,
-                    pool: Pool | None = None) -> int:
-    """How many classes :func:`_next_frontier` returns, counted without
-    keys.
-
-    The same tests 1 to 3 run, but a child whose new vertex is alone in
-    refined colour cell 0 is kept without a key search.  Every least
-    ordering starts with a vertex of cell 0, so it starts with the new
-    vertex, which passes test 4.  The new vertex is alone in cell 0 when
-    its degree is below every other vertex's, with no refinement, or when
-    refinement leaves it alone there.  Any other child runs test 4, the
-    key search, without collecting generators.  A child that passes tests
-    1 to 3 past the labelling budget raises the :class:`BudgetError` that
-    the key search would.  With a ``pool``, its processes and this one
-    count chunks of the parents, and the counts are added up.
-    """
-    if pool is not None:
-        return sum(pool.run(frontier, count=True))
-    return _children(frontier, constraint, count=True)[0]
+    for red, generators in parents:
+        descend(red, generators)
+    return [(counts, failed, error)]
 
 
 def _walk(constraint: CliqueConstraint,
           v_max: int) -> tuple[tuple[int, int], ...]:
-    """Grow the frontier of good canonical classes to order ``v_max``.
+    """Count the good canonical classes of each order up to ``v_max``.
 
     Returns the ``(v, count)`` profile, stopping after the first zero.
-    Every order but the last is keyed by :func:`_next_frontier`, which
-    keeps the representatives and generators the next order grows from.
-    The last order is only counted, by :func:`_count_children`, which
-    keeps no colouring and keys only children it cannot accept by their
-    colour cell.  Past the canonical labelling budget the
-    :class:`BudgetError` carries the profile of the finished orders.  At
-    the first level of at least ``_PARALLEL_MIN_PARENTS`` parents the walk
-    forks a :class:`Pool` of one worker per usable core after the first,
-    which computes that level and every later one with this process; the
-    pool's workers are killed and reaped however the walk ends.  When
-    :func:`allowed_processes` forbids a fork (one core, no ``fork``, or a
-    second thread alive) the walk runs serially, and a pool whose workers
-    cannot all be started works with those it has.
+    With one process allowed (:func:`allowed_processes`), the whole tree
+    is walked depth-first by :func:`_counts_below` from the single vertex.
+    Otherwise orders are keyed breadth-first here up to a split order: one
+    order below the first with ``_CHUNKS_PER_PROCESS`` parents per
+    process, or that first order itself when fewer than two orders would
+    remain below the deeper one, or the last order but one when no order
+    is that big.  One :func:`_pool.run` call then counts the split order's
+    subtrees in chunks, and the chunks' count vectors are added, so the
+    profile does not depend on the number of cores or on who claimed which
+    chunk.  Past the canonical labelling budget the :class:`BudgetError`
+    carries the profile of the orders before the first that failed.
     """
-    frontier = [] if _has_forbidden((0,), constraint) else [((0,), ())]
-    profile = [(1, len(frontier))]
-    pool = None
-    try:
-        while frontier and len(profile) < v_max:
-            if pool is None and len(frontier) >= _PARALLEL_MIN_PARENTS:
-                processes = allowed_processes()
-                if processes > 1:
-                    pool = Pool(partial(_children, constraint=constraint),
-                                processes, "glue", "children")
-            try:
-                if len(profile) + 1 < v_max:
-                    frontier = _next_frontier(frontier, constraint, pool)
-                    count = len(frontier)
-                else:
-                    count = _count_children(frontier, constraint, pool)
-            except BudgetError as exc:
-                raise BudgetError(str(exc), partial=tuple(profile)) from exc
-            profile.append((len(profile) + 1, count))
+    parents = [] if _has_forbidden((0,), constraint) else [((0,), ())]
+    profile = [(1, len(parents))]
+    processes = allowed_processes()
+    big = _pool._CHUNKS_PER_PROCESS * processes
+    while processes > 1 and parents and len(profile) + 1 < v_max:
+        first_big = len(parents) >= big
+        if first_big and len(profile) + 3 > v_max:
+            break
+        try:
+            parents = [(red, generators) for _, red, generators
+                       in _children(parents, constraint)]
+        except BudgetError as exc:
+            raise BudgetError(str(exc), partial=tuple(profile)) from exc
+        profile.append((len(profile) + 1, len(parents)))
+        if first_big:
+            break
+    if not parents:
         return tuple(profile)
-    finally:
-        if pool is not None:
-            pool.close()
+    work = partial(_counts_below, constraint=constraint, v_max=v_max)
+    chunks = _pool.run(work, parents,
+                       processes if len(parents) >= big else 1,
+                       "glue", "counts")
+    counts = [sum(column) for column in zip(*(c for c, _, _ in chunks))]
+    _, failed, error = min(chunks, key=lambda chunk: chunk[1])
+    for v, count in enumerate(counts, start=len(profile) + 1):
+        if v == failed:
+            raise BudgetError(str(error), partial=tuple(profile)) from error
+        profile.append((v, count))
+        if not count:
+            break
+    return tuple(profile)
 
 
 def _to_coloring(red) -> EdgeColoring:
@@ -828,12 +827,13 @@ def frontier_profile(constraint: CliqueConstraint,
     """Number of good canonical classes at each order 1..v_max.
 
     Stops early once the frontier empties; the final recorded count is 0.
-    The count at ``v_max`` is taken without keying or keeping its classes:
-    a class whose new vertex is alone in the first refined colour cell
-    passes the canonical augmentation test without a key search (see
-    :func:`_count_children`).  Past the canonical labelling budget,
-    :class:`BudgetError` carries the profile of the orders already
-    finished.
+    Below the walk's split order every subtree is walked depth-first and
+    no order is held whole (see :func:`_walk`).  The count at ``v_max`` is
+    taken without keying or keeping its classes: a class whose new vertex
+    is alone in the first refined colour cell passes the canonical
+    augmentation test without a key search (see :func:`_children`).  Past
+    the canonical labelling budget, :class:`BudgetError` carries the
+    profile of the orders already finished.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import spectral
-from ._pool import Pool, allowed_processes
+from . import _pool
 
 __all__ = [
     "MissProbabilityModel",
@@ -571,11 +571,11 @@ def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
     neighbours, so the first and last records always stay indeterminate.
 
     Each record is a pure function of (configuration, n), so with two or
-    more orders the sweep forks a :class:`Pool` of up to one worker per
-    usable core after the first, and the workers and this process claim
-    orders until none is left; the pool is killed and reaped however the
-    sweep ends.  So ``embedding.batch`` may run in a forked worker, and an
-    embedding must be a pure function of its arguments, as
+    more orders the sweep forks up to one worker per usable core after the
+    first (:func:`_pool.run`), and the workers and this process claim
+    orders until none is left; the workers are killed and reaped however
+    the sweep ends.  So ``embedding.batch`` may run in a forked worker, and
+    an embedding must be a pure function of its arguments, as
     :class:`SeedSchedule` and :class:`ConstraintRestricted` are: state it
     changes in a worker is not seen here.  An exception other than
     ``LinAlgError`` raised in a worker is raised here with the worker's
@@ -591,15 +591,9 @@ def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
     if not orders:
         raise ValueError("n_values must be non-empty")
     work = partial(_records, config=config, embedding=embedding)
-    processes = min(len(orders), allowed_processes())
-    if processes > 1:
-        pool = Pool(work, processes, "diag", "records")
-        try:
-            records = sorted(pool.run(orders), key=lambda record: record.n)
-        finally:
-            pool.close()
-    else:
-        records = work(orders)
+    processes = min(len(orders), _pool.allowed_processes())
+    records = sorted(_pool.run(work, orders, processes, "diag", "records"),
+                     key=lambda record: record.n)
     judged = []
     for idx, record in enumerate(records):
         before = records[idx - 1] if idx > 0 else None

@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_ps",
     "select_candidate",
     "persistence_scan",
-    "growth_ratio",
 ]
 
 
@@ -240,25 +239,3 @@ def persistence_scan(n_diag: int, lo: int, hi: int,
     value, orders = max(reversed(runs), key=lambda run: len(run[1]))
     return PersistenceResult(value=value, plateau=(orders[0], orders[-1]),
                              selections=selections)
-
-
-def growth_ratio(diag_values, offdiag_values) -> tuple[tuple[float, bool], ...]:
-    """Pair up diagonal and off-diagonal bound values as ratios.
-
-    Returns one ``(ratio, within_doubling)`` pair per index, where the flag
-    marks ratios at most 2.  Raises on length mismatch or zero denominators.
-    """
-    diag = tuple(diag_values)
-    off = tuple(offdiag_values)
-    if len(diag) != len(off):
-        raise ValueError(
-            f"length mismatch: {len(diag)} diagonal vs {len(off)} off-diagonal")
-    if not diag:
-        raise ValueError("need at least one value pair")
-    ratios = []
-    for top, bottom in zip(diag, off):
-        if bottom == 0:
-            raise ValueError("zero denominator in growth ratio")
-        rho = top / bottom
-        ratios.append((rho, rho <= 2.0))
-    return tuple(ratios)

@@ -1,7 +1,9 @@
-"""Shared fixtures: reference colourings and permutation helpers."""
+"""Shared fixtures: reference colourings, permutation helpers, and a core
+count for the worker-pool tests."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,22 @@ def permute_coloring(coloring: EdgeColoring, perm) -> EdgeColoring:
                 a, b = b, a
             bits[edge_index(a, b, v)] = coloring.is_red(i, j)
     return EdgeColoring(v=v, bits=tuple(bits))
+
+
+def claim_cores(monkeypatch, count: int) -> list:
+    """Claim ``count`` usable cores; returns the list of workers forked."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 @pytest.fixture

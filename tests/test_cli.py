@@ -187,11 +187,10 @@ class TestGlue:
 
     def test_budget_in_worker_keeps_partial_frontier(self, tmp_path, capsys,
                                                      monkeypatch):
-        # Forked workers inherit the patched budget and cut-off, so the
-        # BudgetError comes from whichever process of the walk's pool first
-        # keys an 11-vertex child.
+        # Forked workers inherit the patched budget, so the BudgetError
+        # comes from whichever process of the walk's pool first labels an
+        # 11-vertex child below the split order.
         monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 10)
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         status = dispatch(["glue", "-m", "3", "-n", "5", "--vmax", "11",
                            "--out_dir", str(tmp_path)])
         assert status == 1
@@ -325,10 +324,10 @@ print(sorted(loaded & {{"scipy", "networkx", "sympy", "numba"}}))
         assert result.stdout.strip().split("\n")[-1] == "[]"
 
     def test_glue_forks_without_process_pool_modules(self, tmp_path):
-        # The (3,5) walk to v=9 starts one worker pool, at its first level
-        # past the parallel cut-off, with one os.fork per extra core and
-        # nothing else, so a run pays for neither multiprocessing nor
-        # concurrent.futures and forks no more for later levels.
+        # The (3,5) walk to v=9 makes one pool call, for the subtrees below
+        # its split order, with one os.fork per extra core and nothing
+        # else, so a run pays for neither multiprocessing nor
+        # concurrent.futures.
         script = f"""
 import os, sys
 forks = []

@@ -28,11 +28,8 @@ from ramsey_toolkit import (BudgetError, CliqueConstraint, EdgeColoring,
                             glue_extensions, graded_ramsey,
                             has_forbidden_clique, qubit_cost, survivor_rank)
 
-from conftest import coloring_from_red_edges, permute_coloring
+from conftest import claim_cores, coloring_from_red_edges, permute_coloring
 
-
-# A parallel cut-off larger than any frontier: the walk stays serial.
-_NEVER = 1 << 62
 
 # Walks small enough to check every order against the per-assignment oracle.
 _ORACLE_WALKS = [(3, 3, 6), (3, 4, 9), (3, 5, 9), (4, 4, 7), (2, 5, 6),
@@ -91,6 +88,32 @@ def _reference_next_frontier(frontier, constraint):
                           for i, r in enumerate(red)) + (a,)
             classes.setdefault(combinatorics._adjacency_key(child), child)
     return [classes[k] for k in sorted(classes)]
+
+
+def _breadth_first(constraint, v_max: int) -> list[list[tuple]]:
+    """Orders 2 to ``v_max`` of the walk grown breadth-first, kept as the
+    oracle for the depth-first walk: each order is every
+    ``(key, red, generators)`` that ``_children`` keeps of the whole order
+    before it, sorted by key.  Canonical augmentation keeps each class
+    once, so the keys of an order must be distinct.  Stops after the first
+    empty order."""
+    parents = ([] if combinatorics._has_forbidden((0,), constraint)
+               else [((0,), ())])
+    orders = []
+    while parents and len(orders) + 1 < v_max:
+        children = sorted(combinatorics._children(parents, constraint))
+        assert len({key for key, _, _ in children}) == len(children)
+        orders.append(children)
+        parents = [(red, generators) for _, red, generators in children]
+    return orders
+
+
+def _oracle_profile(constraint, v_max: int) -> tuple:
+    """The ``(v, count)`` profile of :func:`_breadth_first`."""
+    first = 0 if combinatorics._has_forbidden((0,), constraint) else 1
+    return ((1, first),) + tuple(
+        (v, len(order)) for v, order in
+        enumerate(_breadth_first(constraint, v_max), start=2))
 
 
 def _reference_avoiding(masks, inside, meet):
@@ -510,13 +533,12 @@ class TestGoodAssignments:
         # assignments of these parents, and some assignments survive.
         for (m, n), v_max in [((3, 5), 9), ((4, 4), 7)]:
             constraint = CliqueConstraint(m, n)
-            frontier = [((0,), ())]
-            while len(frontier[0][0]) < v_max:
-                for red, _ in frontier:
+            for order in [[(None, (0,), ())]] + _breadth_first(
+                    constraint, v_max - 1):
+                for _, red, _ in order:
                     assert combinatorics._good_assignments(
                         red, constraint) == _reference_good_assignments(
                             red, constraint)
-                frontier = combinatorics._next_frontier(frontier, constraint)
 
     def test_small_tables(self):
         # At v <= 3 the table fits in the one byte it is read from.
@@ -739,7 +761,7 @@ class TestReferenceKey:
 
     @pytest.mark.parametrize("m,n,v_max", [(3, 5, 9), (4, 4, 6)])
     def test_walk_children(self, m, n, v_max, monkeypatch):
-        # Every order keyed, as the walk keys all but its last, serially.
+        # Every order keyed, as the breadth-first oracle keys them.
         keyed = []
         key = combinatorics._adjacency_key
 
@@ -748,10 +770,7 @@ class TestReferenceKey:
             return key(red, *args)
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", recording_key)
-        frontier = [((0,), ())]
-        for _ in range(v_max - 1):
-            frontier = combinatorics._next_frontier(
-                frontier, CliqueConstraint(m, n))
+        _breadth_first(CliqueConstraint(m, n), v_max)
         monkeypatch.undo()
         assert keyed
         for red in keyed:
@@ -791,11 +810,8 @@ class TestReferenceKey:
         assert _assert_first_vertex_orbit(red) in ({0, 1, 2}, {3, 4, 5, 6})
 
     def test_r35_v10_frontier_keys_pinned(self):
-        frontier = [((0,), ())]
-        for _ in range(9):
-            frontier = combinatorics._next_frontier(
-                frontier, CliqueConstraint(3, 5))
-        keys = sorted(combinatorics._adjacency_key(red) for red, _ in frontier)
+        keys = sorted(combinatorics._adjacency_key(red) for _, red, _ in
+                      _breadth_first(CliqueConstraint(3, 5), 10)[-1])
         assert len(keys) == 313
         assert hashlib.sha256(b"".join(keys)).hexdigest() == (
             "b49c95bd265f020e876dacfacc550f20"
@@ -865,15 +881,28 @@ class TestGlue:
         # Representatives are the first children the walk accepts, not the
         # oracle's first children, so the two are compared by their keys.
         constraint = CliqueConstraint(m, n)
-        frontier = [((0,), ())]
-        while frontier and len(frontier[0][0]) < v_max:
-            expected = _reference_next_frontier([red for red, _ in frontier],
-                                                constraint)
-            frontier = combinatorics._next_frontier(frontier, constraint)
-            keys = [combinatorics._adjacency_key(red) for red, _ in frontier]
-            assert len(set(keys)) == len(keys)
-            assert keys == [combinatorics._adjacency_key(red)
-                            for red in expected]
+        parents = [(0,)]
+        for order in _breadth_first(constraint, v_max):
+            expected = _reference_next_frontier(parents, constraint)
+            parents = [red for _, red, _ in order]
+            assert [combinatorics._adjacency_key(red) for red in parents] == \
+                [combinatorics._adjacency_key(red) for red in expected]
+
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["serial", "pooled"])
+    @pytest.mark.parametrize("m,n,v_max", _ORACLE_WALKS)
+    def test_depth_first_matches_breadth_first(self, m, n, v_max, pooled,
+                                               monkeypatch):
+        # The walk counts every order below its split depth-first, from the
+        # single vertex on one core, and on two from the split order on,
+        # with the workers' chunks; its profile is the breadth-first one.
+        constraint = CliqueConstraint(m, n)
+        expected = _oracle_profile(constraint, v_max)
+        forks = claim_cores(monkeypatch, 2 if pooled else 1)
+        assert frontier_profile(constraint, v_max) == expected
+        big = _pool._CHUNKS_PER_PROCESS * 2
+        assert bool(forks) == (pooled and any(
+            count >= big for v, count in expected if v < v_max))
 
     @pytest.mark.parametrize("pooled", [False, True],
                              ids=["serial", "pooled"])
@@ -883,45 +912,39 @@ class TestGlue:
         # Each order of the walk, taken as its last, is counted without
         # keys; the count must be the number of classes the keyed step
         # gives at that order.
-        if pooled:
-            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        else:
-            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS",
-                                _NEVER)
+        claim_cores(monkeypatch, 2 if pooled else 1)
         constraint = CliqueConstraint(m, n)
-        frontier = [((0,), ())]
-        for v in range(2, v_max + 1):
-            count = combinatorics._count_children(frontier, constraint)
-            frontier = combinatorics._next_frontier(frontier, constraint)
-            assert count == len(frontier)
-            assert frontier_profile(constraint, v)[-1] == (v, len(frontier))
-            if not frontier:
-                break
+        parents = [((0,), ())]
+        for v, order in enumerate(_breadth_first(constraint, v_max),
+                                  start=2):
+            assert combinatorics._children(parents, constraint,
+                                           count=True) == [len(order)]
+            assert frontier_profile(constraint, v)[-1] == (v, len(order))
+            parents = [(red, generators) for _, red, generators in order]
 
     @pytest.mark.parametrize("pooled", [False, True],
                              ids=["serial", "pooled"])
     @pytest.mark.parametrize("m,n,v,route,partial", [
         (3, 3, 4, "key", ((1, 1), (2, 2), (3, 2))),
-        (3, 4, 7, "refinement",
+        (3, 4, 7, "key",
          ((1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))),
-        (3, 5, 8, "degree",
-         ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71)))],
-        ids=["r33_v4", "r34_v7", "r35_v8"])
+        (3, 5, 8, "key",
+         ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71))),
+        (4, 4, 5, "degree", ((1, 1), (2, 2), (3, 4), (4, 9)))],
+        ids=["r33_v4", "r34_v7", "r35_v8", "r44_v5"])
     def test_counted_order_past_the_cap(self, m, n, v, route, partial,
                                         pooled, monkeypatch):
         # With the cap one below the last order, the first child that
         # passes tests 1 to 3 raises the key search's error, whether the
-        # key search, refinement or degree alone would take it.  Serially
-        # the first such child is taken by ``route``: the key search is
-        # never reached in the two shortcut cases, nor refinement in the
-        # degree case.
+        # key search, refinement or degree alone would take it.  Serially,
+        # depth-first from the single vertex, the first such child is taken
+        # by ``route``: the key search is never reached in the degree case,
+        # nor refinement.  No small walk meets a refinement shortcut first;
+        # test_shortcut_children raises through both shortcuts.
         monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", v - 1)
         refined = []
-        if pooled:
-            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        else:
+        claim_cores(monkeypatch, 2 if pooled else 1)
+        if not pooled:
             refine = combinatorics._refined_colors
 
             def recording(red, *args):
@@ -957,7 +980,7 @@ class TestGlue:
         combinatorics._adjacency_key(red, None, None, generators)
         parents = [(red, tuple(sorted(generators)))]
         v = len(red) + 1
-        assert len(combinatorics._next_frontier(parents, constraint)) == 2
+        assert len(combinatorics._children(parents, constraint)) == 2
         key = combinatorics._adjacency_key
         refine = combinatorics._refined_colors
         alone = []
@@ -974,11 +997,12 @@ class TestGlue:
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", no_key)
         monkeypatch.setattr(combinatorics, "_refined_colors", recording)
-        assert combinatorics._count_children(parents, constraint) == 2
+        assert combinatorics._children(parents, constraint,
+                                       count=True) == [2]
         assert any(alone) == (route == "refinement")
         monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", v - 1)
         with pytest.raises(BudgetError) as info:
-            combinatorics._count_children(parents, constraint)
+            combinatorics._children(parents, constraint, count=True)
         assert str(info.value) == \
             f"canonical_key supports v <= {v - 1}, got {v}"
         assert info.value.partial is None
@@ -996,13 +1020,10 @@ class TestGlue:
                        "e238fa7d449b5a63bbaf54bdcc5d0196")],
         ids=["r35_v10", "r44_v7"])
     def test_frontier_digest(self, m, n, v, count, digest):
-        # SHA-256 of the frontier's sorted canonical keys, as walked by the
+        # SHA-256 of the order's sorted canonical keys, as walked by the
         # per-child keying that canonical augmentation replaced.
-        frontier = [((0,), ())]
-        for _ in range(v - 1):
-            frontier = combinatorics._next_frontier(
-                frontier, CliqueConstraint(m, n))
-        keys = sorted(combinatorics._adjacency_key(red) for red, _ in frontier)
+        keys = sorted(combinatorics._adjacency_key(red) for _, red, _ in
+                      _breadth_first(CliqueConstraint(m, n), v)[-1])
         assert len(keys) == count
         assert hashlib.sha256(b"".join(keys)).hexdigest() == digest
 
@@ -1123,9 +1144,9 @@ class TestOrbitPruning:
         assert generators == set()
 
     def test_every_accepted_key_is_a_new_class(self, monkeypatch):
-        # Every order keyed serially, so the wrapper sees every key in this
-        # process; the walk's own profile, whose last order is counted,
-        # must add up to the same number of classes.
+        # Every order keyed by the breadth-first oracle, so the wrapper
+        # sees every key in this process; the walk's own profile, whose
+        # last order is counted, must add up to the same number of classes.
         accepted = []
         key = combinatorics._adjacency_key
 
@@ -1136,10 +1157,7 @@ class TestOrbitPruning:
             return out
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", counting_key)
-        frontier = [((0,), ())]
-        for _ in range(9):
-            frontier = combinatorics._next_frontier(
-                frontier, CliqueConstraint(3, 5))
+        _breadth_first(CliqueConstraint(3, 5), 10)
         monkeypatch.undo()
         assert len(set(accepted)) == len(accepted) == 910
         profile = frontier_profile(CliqueConstraint(3, 5), 10)
@@ -1271,9 +1289,9 @@ _R35_V10 = ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71),
 
 
 class TestParallelWalk:
-    """A walk with a big level forks one pool of workers, one per extra
-    core; the output must not show it, and no worker may outlive the
-    walk."""
+    """A walk with a big order counts the subtrees below its split order in
+    one pool call, with one worker per extra core; the output must not show
+    it, and no worker may outlive the walk."""
 
     @staticmethod
     def assert_no_children():
@@ -1284,7 +1302,7 @@ class TestParallelWalk:
     @pytest.fixture
     def time_limit(self):
         # A pool that deadlocks fails the test instead of hanging the run;
-        # the walk's ``finally`` kills the workers on the way out.
+        # the pool's ``finally`` kills the workers on the way out.
         def expire(signum, frame):
             raise TimeoutError("pooled walk still running after 60 s")
 
@@ -1295,84 +1313,75 @@ class TestParallelWalk:
         signal.signal(signal.SIGALRM, previous)
 
     @staticmethod
-    def record_levels(monkeypatch) -> list:
-        """Record ``(frontier, pool, its worker count, next frontier)`` of
-        every level.  The counted last level is also keyed, on the same
-        pool, and its count must equal the number of keyed classes."""
-        next_frontier = combinatorics._next_frontier
-        count_children = combinatorics._count_children
+    def record_runs(monkeypatch) -> list:
+        """Record ``(items, processes, results)`` of every pool call."""
+        run = _pool.run
         recorded = []
 
-        def recording(frontier, constraint, pool=None):
-            out = next_frontier(frontier, constraint, pool)
-            recorded.append((frontier, pool,
-                             None if pool is None else len(pool.workers),
-                             out))
+        def recording(work, items, processes, name, results):
+            out = run(work, items, processes, name, results)
+            recorded.append((items, processes, out))
             return out
 
-        def counting(frontier, constraint, pool=None):
-            count = count_children(frontier, constraint, pool)
-            assert count == len(recording(frontier, constraint, pool))
-            return count
-
-        monkeypatch.setattr(combinatorics, "_next_frontier", recording)
-        monkeypatch.setattr(combinatorics, "_count_children", counting)
+        monkeypatch.setattr(_pool, "run", recording)
         return recorded
 
-    @pytest.mark.parametrize("m,n,v_max,final", [
-        (3, 5, 12, (12, 12)), (4, 4, 8, (8, 2079))],
+    @pytest.mark.parametrize("m,n,v_max,final,split", [
+        (3, 5, 12, (12, 12), 7), (4, 4, 8, (8, 2079), 6)],
         ids=["r35_v12", "r44_v8"])
-    def test_parallel_matches_serial(self, m, n, v_max, final, monkeypatch):
-        levels = {}
-        for cutoff in (0, _NEVER):
-            monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS",
-                                cutoff)
-            recorded = self.record_levels(monkeypatch)
-            profile = frontier_profile(CliqueConstraint(m, n), v_max)
-            assert profile[-1] == final
-            self.assert_no_children()
-            levels[cutoff] = [(bool(workers), out)
-                              for _, _, workers, out in recorded]
-            monkeypatch.undo()
-        forked = len(os.sched_getaffinity(0)) > 1
-        assert all(used == forked for used, _ in levels[0])
-        assert not any(used for used, _ in levels[_NEVER])
+    def test_parallel_matches_serial(self, m, n, v_max, final, split,
+                                     monkeypatch):
+        # One core walks depth-first from the single vertex; every usable
+        # core splits one order below the first of 32 parents, or at it
+        # when fewer than two orders would remain below.  The chunks' count
+        # vectors are those of the same chunks walked here, and they add
+        # up to the serial profile.
+        constraint = CliqueConstraint(m, n)
+        claim_cores(monkeypatch, 1)
+        serial = frontier_profile(constraint, v_max)
+        assert serial[-1] == final
+        monkeypatch.undo()
+        recorded = self.record_runs(monkeypatch)
+        assert frontier_profile(constraint, v_max) == serial
+        self.assert_no_children()
+        (parents, processes, chunks), = recorded
+        assert processes == len(os.sched_getaffinity(0))
         # Representatives with their generators, not only their keys.
-        assert [out for _, out in levels[0]] == \
-            [out for _, out in levels[_NEVER]]
+        assert sorted(parents) == sorted(
+            (red, generators) for _, red, generators in
+            _breadth_first(constraint, split)[-1])
+        expected = [combinatorics._counts_below(
+            parents[i::len(chunks)], constraint, v_max)[0][0]
+            for i in range(len(chunks))]
+        assert sorted(c for c, _, _ in chunks) == sorted(expected)
+        assert {(f, e) for _, f, e in chunks} == {(v_max + 1, None)}
+        assert [sum(column) for column in zip(*expected)] == \
+            [count for _, count in serial[split:]]
 
     @pytest.mark.parametrize("processes", [3, 4])
     def test_pools_larger_than_the_core_count(self, processes, monkeypatch,
                                               time_limit):
-        # More processes than this box may have cores, and the first levels
-        # have fewer parents (1, 2, 3) than processes: every level must
-        # still equal the serial one, and the one pool serves them all.
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(processes)))
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-        serial = combinatorics._next_frontier
-        for m, n, v_max, final in ((3, 5, 10, (10, 313)),
-                                   (4, 4, 7, (7, 362))):
+        # More processes than this box may have cores: each walk forks one
+        # worker per extra process, and the profile is the serial one.
+        forks = claim_cores(monkeypatch, processes)
+        recorded = self.record_runs(monkeypatch)
+        for m, n, v_max in ((3, 5, 10), (4, 4, 7)):
             constraint = CliqueConstraint(m, n)
-            recorded = self.record_levels(monkeypatch)
-            assert frontier_profile(constraint, v_max)[-1] == final
+            assert frontier_profile(constraint, v_max) == \
+                _oracle_profile(constraint, v_max)
             self.assert_no_children()
-            assert len({id(pool) for _, pool, _, _ in recorded}) == 1
-            for frontier, _, workers, out in recorded:
-                assert workers == processes - 1
-                assert out == serial(frontier, constraint)
+        assert [used for _, used, _ in recorded] == [processes] * 2
+        assert len(forks) == 2 * (processes - 1)
 
     def test_pipe_buf_bounds_the_pool(self, monkeypatch, time_limit):
         # A PIPE_BUF that holds the tokens of two processes, no more: a
-        # four-core pool starts one worker, and the walk is unchanged.
+        # four-core walk starts one worker, and the walk is unchanged.
         tokens = 2 * (_pool._CHUNKS_PER_PROCESS + 1)
         monkeypatch.setattr(os, "fpathconf",
                             lambda fd, name: 3 * tokens - 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-        recorded = self.record_levels(monkeypatch)
+        forks = claim_cores(monkeypatch, 4)
         assert frontier_profile(CliqueConstraint(3, 5), 10) == _R35_V10
-        assert {workers for _, _, workers, _ in recorded} == {1}
+        assert len(forks) == 1
         self.assert_no_children()
 
     def test_chunks_grow_with_the_level(self):
@@ -1393,19 +1402,20 @@ class TestParallelWalk:
         assert _pool._chunk_count(546356, 2, 4096) == 2046
 
     def test_budget_error_in_worker(self, monkeypatch):
-        # Forked children inherit the patched labelling and cut-off, so
-        # only the children's share of the v=11 level raises.
+        # Forked children inherit the patched labelling, so only the
+        # workers' chunks of the subtrees below v=7 fail, at v=11.  A
+        # chunk returns its error with its counts, and the walk raises it.
         main = os.getpid()
         check = combinatorics._check_labelling_budget
 
         def budget_in_child(v):
             if os.getpid() != main and v > 10:
-                raise BudgetError("labelling budget exceeded in a child")
+                raise BudgetError(
+                    f"labelling budget exceeded in child {os.getpid()}")
             check(v)
 
         monkeypatch.setattr(combinatorics, "_check_labelling_budget",
                             budget_in_child)
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         if len(os.sched_getaffinity(0)) == 1:
             assert frontier_profile(CliqueConstraint(3, 5), 11)[-1] == \
                 (11, 105)
@@ -1415,37 +1425,36 @@ class TestParallelWalk:
         assert info.value.partial == _R35_V10
         child_error = info.value.__cause__
         assert isinstance(child_error, BudgetError)
-        assert "exceeded in a child" in str(child_error)
-        # The child's traceback is chained as the cause.
-        assert "in _children" in str(child_error.__cause__)
+        assert str(info.value) == str(child_error)
+        pid = re.fullmatch(r"labelling budget exceeded in child (\d+)",
+                           str(child_error))
+        assert pid and int(pid.group(1)) != main
         self.assert_no_children()
 
     def test_unpicklable_error_in_worker(self, tmp_path, monkeypatch,
                                          time_limit):
         # An exception of a class defined in a function does not pickle:
         # the worker sends a stand-in with its type name, its message and
-        # its traceback, and the walk raises that.  From the 3-parent level
-        # on, this process waits in its chunk until the worker has raised.
+        # its traceback, and the walk raises that.  This process waits in
+        # its first chunk until the worker has raised.
         class LocalError(Exception):
             pass
 
         main = os.getpid()
         raised = tmp_path / "raised"
-        children = combinatorics._children
+        counts_below = combinatorics._counts_below
 
-        def failing(parents, constraint, **options):
+        def failing(parents, constraint, v_max):
             if os.getpid() != main:
                 raised.touch()
                 raise LocalError("not picklable")
             deadline = time.monotonic() + 30
-            while (len(parents[0][0]) >= 3 and not raised.exists()
-                   and time.monotonic() < deadline):
+            while not raised.exists() and time.monotonic() < deadline:
                 time.sleep(0.005)
-            return children(parents, constraint, **options)
+            return counts_below(parents, constraint, v_max)
 
-        monkeypatch.setattr(combinatorics, "_children", failing)
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(combinatorics, "_counts_below", failing)
+        claim_cores(monkeypatch, 2)
         fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(_pool.WorkerError) as info:
             frontier_profile(CliqueConstraint(3, 5), 10)
@@ -1460,8 +1469,8 @@ class TestParallelWalk:
         assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_budget_error_in_own_chunk(self, monkeypatch, time_limit):
-        # This process's chunks of the v=11 level raise while the workers'
-        # succeed: the partial profile survives and every worker is reaped.
+        # This process's chunks fail at v=11 while the workers' succeed:
+        # the partial profile survives and every worker is reaped.
         main = os.getpid()
         check = combinatorics._check_labelling_budget
 
@@ -1472,7 +1481,6 @@ class TestParallelWalk:
 
         monkeypatch.setattr(combinatorics, "_check_labelling_budget",
                             budget_here)
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(BudgetError) as info:
@@ -1484,14 +1492,16 @@ class TestParallelWalk:
 
     @pytest.mark.parametrize("call,failing,workers", [
         ("fork", 1, 0), ("fork", 2, 1), ("pipe", 1, 0), ("pipe", 2, 0),
-        ("pipe", 3, 0), ("pipe", 4, 1)],
+        ("pipe", 3, 1), ("pipe", 4, 2)],
         ids=["fork-1", "fork-2", "pipe-1", "pipe-2", "pipe-3", "pipe-4"])
     def test_failed_fork_computes_share_here(self, call, failing, workers,
                                              monkeypatch):
-        # A pool of three processes makes its token pipe, then two pipes and
-        # a fork per worker.  The ``failing``-th os.fork or os.pipe call of
-        # the walk raises EAGAIN; the pool keeps the ``workers`` it started,
-        # and this process claims the chunks they leave.
+        # A pool of four processes makes its token pipe, then a result
+        # pipe and a fork per worker.  The ``failing``-th os.fork or
+        # os.pipe call of the walk raises EAGAIN; the pool keeps the
+        # ``workers`` it started, and this process claims the chunks they
+        # leave.
+        forks = claim_cores(monkeypatch, 4)
         real = getattr(os, call)
         calls = []
 
@@ -1502,29 +1512,20 @@ class TestParallelWalk:
             return real()
 
         monkeypatch.setattr(os, call, refusing)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-        constraint = CliqueConstraint(3, 5)
         fds = len(os.listdir("/proc/self/fd"))
-        serial = combinatorics._next_frontier
-        recorded = self.record_levels(monkeypatch)
-        assert frontier_profile(constraint, 10) == _R35_V10
-        # The pool is started once, at the first level, and stops at the
-        # failed call.
+        assert frontier_profile(CliqueConstraint(3, 5), 10) == _R35_V10
+        # The walk calls the pool once, and it stops at the failed call.
         assert len(calls) == failing
+        assert len(forks) == workers
         self.assert_no_children()
-        assert len(recorded) == 9
-        for frontier, _, started, out in recorded:
-            assert started == workers
-            assert out == serial(frontier, constraint)
         assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_dead_worker_raises(self):
-        # A child that exits mid-level must fail the walk, not hang it;
+        # A child that exits in its chunk must fail the walk, not hang it;
         # run in a fresh interpreter so a hang is cut off by the timeout.
         script = """
 import os
-from ramsey_toolkit import CliqueConstraint, combinatorics, frontier_profile
+from ramsey_toolkit import CliqueConstraint, frontier_profile
 
 class ExitsInWorker(CliqueConstraint):
     def __getattribute__(self, name):
@@ -1533,7 +1534,6 @@ class ExitsInWorker(CliqueConstraint):
         return super().__getattribute__(name)
 
 MAIN = os.getpid()
-combinatorics._PARALLEL_MIN_PARENTS = 0
 try:
     print(frontier_profile(ExitsInWorker(3, 5), 8)[-1])
 except RuntimeError as exc:
@@ -1547,48 +1547,20 @@ except RuntimeError as exc:
         assert result.returncode == 0, result.stderr
         if len(os.sched_getaffinity(0)) > 1:
             assert re.fullmatch(r"no children: glue worker \d+ ended with "
-                                r"status 3 without its children\n",
+                                r"status 3 without its counts\n",
                                 result.stdout)
         else:
             assert result.stdout == "(8, 179)\n"
 
-    def test_worker_killed_between_levels_raises(self, monkeypatch,
-                                                 time_limit):
-        # Sending the next level to a worker that has died must fail the
-        # walk with the worker's status, not with a BrokenPipeError, which
-        # the CLI takes for a closed stdout.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-        next_frontier = combinatorics._next_frontier
-
-        def killing(frontier, constraint, pool=None):
-            if len(frontier) == 7:
-                pid = next(iter(pool.workers))
-                os.kill(pid, signal.SIGKILL)
-                # Wait for the death without reaping: the pool reaps.
-                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            return next_frontier(frontier, constraint, pool)
-
-        monkeypatch.setattr(combinatorics, "_next_frontier", killing)
-        fds = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(RuntimeError, match=r"^glue worker \d+ ended "
-                           r"with status -9 without its children$"):
-            frontier_profile(CliqueConstraint(3, 5), 8)
-        self.assert_no_children()
-        assert len(os.listdir("/proc/self/fd")) == fds
-
     def test_error_in_own_share_kills_child(self, tmp_path, monkeypatch):
-        # From the 3-parent level on, the worker sleeps in the first chunk
-        # it claims until it is killed, and this process's chunk raises
-        # once the worker is asleep: the walk must kill and reap the worker
-        # rather than wait for it.
+        # The worker sleeps in the first chunk it claims until it is
+        # killed, and this process's chunk raises once the worker is
+        # asleep: the walk must kill and reap the worker rather than wait
+        # for it.
         main = os.getpid()
         started = tmp_path / "started"
-        children = combinatorics._children
 
-        def share(parents, constraint, **options):
-            if len(parents[0][0]) < 3:
-                return children(parents, constraint, **options)
+        def share(parents, constraint, v_max):
             if os.getpid() != main:
                 (tmp_path / "pid").write_text(str(os.getpid()))
                 os.replace(tmp_path / "pid", started)
@@ -1598,33 +1570,31 @@ except RuntimeError as exc:
                 time.sleep(0.01)
             raise ValueError("own share failed")
 
-        monkeypatch.setattr(combinatorics, "_children", share)
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(combinatorics, "_counts_below", share)
+        claim_cores(monkeypatch, 2)
         begin = time.monotonic()
         with pytest.raises(ValueError, match="own share failed"):
-            frontier_profile(CliqueConstraint(3, 5), 4)
+            frontier_profile(CliqueConstraint(3, 5), 10)
         assert time.monotonic() - begin < 30
         self.assert_no_children()
         with pytest.raises(ProcessLookupError):
             os.kill(int(started.read_text()), 0)
 
-    @pytest.mark.parametrize("stall", ["chunk", "tokens"])
+    @pytest.mark.parametrize("stall", ["chunk"])
     def test_killed_main_leaves_no_worker(self, stall, tmp_path):
-        # The main process stops, in its own chunk of the 32-parent level
-        # or before it writes the first level's tokens, and is killed with
-        # SIGKILL.  Its workers must then see end of file on the frontier
-        # or the token pipe and exit, not wait or spin for ever.  In the
-        # chunk case a worker holds each chunk of that level until the main
-        # process has stalled, so the two workers cannot claim all 32
-        # chunks before it claims one.
+        # The main process stops in its first chunk and is killed with
+        # SIGKILL.  Its workers hold each chunk until it has stalled, so
+        # they cannot claim all 48 chunks before it claims one, and then
+        # take half a second per chunk, so the chunks left would keep them
+        # busy for over ten seconds.  An orphan must stop at its next claim
+        # instead.
         script = """
 import os, sys, time
 from ramsey_toolkit import CliqueConstraint, combinatorics, frontier_profile
 
 MAIN = os.getpid()
-GATE = sys.argv[2]
-fork, write, children = os.fork, os.write, combinatorics._children
+GATE = sys.argv[1]
+fork, counts_below = os.fork, combinatorics._counts_below
 
 def announcing_fork():
     pid = fork()
@@ -1632,37 +1602,24 @@ def announcing_fork():
         print("worker", pid, flush=True)
     return pid
 
-def stall():
-    open(GATE, "w").close()
-    print("stalled", flush=True)
-    time.sleep(120)
-
-def stalling_children(parents, constraint, **options):
-    if len(parents[0][0]) == 6:
-        if os.getpid() == MAIN:
-            stall()
-        deadline = time.monotonic() + 60
-        while not os.path.exists(GATE) and time.monotonic() < deadline:
-            time.sleep(0.001)
-    return children(parents, constraint, **options)
-
-def stalling_write(fd, data):
-    # Only the token write ends in end markers (0xFFFF).
-    if os.getpid() == MAIN and bytes(data[-6:]) == b"\\xff" * 6:
-        stall()
-    return write(fd, data)
+def stalling(parents, constraint, v_max):
+    if os.getpid() == MAIN:
+        open(GATE, "w").close()
+        print("stalled", flush=True)
+        time.sleep(120)
+    deadline = time.monotonic() + 60
+    while not os.path.exists(GATE) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.5)
+    return counts_below(parents, constraint, v_max)
 
 os.fork = announcing_fork
-if sys.argv[1] == "chunk":
-    combinatorics._children = stalling_children
-else:
-    os.write = stalling_write
+combinatorics._counts_below = stalling
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-combinatorics._PARALLEL_MIN_PARENTS = 0
 frontier_profile(CliqueConstraint(3, 5), 10)
 """
-        proc = subprocess.Popen([sys.executable, "-c", script, stall,
-                                 str(tmp_path / "stalled")],
+        proc = subprocess.Popen([sys.executable, "-c", script,
+                                 str(tmp_path / stall)],
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.STDOUT)
         try:
@@ -1691,7 +1648,7 @@ frontier_profile(CliqueConstraint(3, 5), 10)
             except FileNotFoundError:
                 return False
 
-        deadline = time.monotonic() + 30
+        deadline = time.monotonic() + 5
         while any(map(alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         left = [pid for pid in workers if alive(pid)]
@@ -1711,7 +1668,6 @@ frontier_profile(CliqueConstraint(3, 5), 10)
 
         monkeypatch.setattr(os, "fork", refusing_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(combinatorics, "_PARALLEL_MIN_PARENTS", 0)
         release = threading.Event()
         helper = threading.Thread(target=release.wait)
         helper.start()

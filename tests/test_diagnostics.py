@@ -29,6 +29,8 @@ from ramsey_toolkit import (ConstraintRestricted, DecisionThresholds,
                             run_diagnostics, sample_directions, slope_fit,
                             spectral_norm)
 
+from conftest import claim_cores
+
 
 class TestClosedForms:
     def test_miss_probability_values(self):
@@ -640,22 +642,6 @@ class TestPooledSweep:
         assert len(os.listdir("/proc/self/fd")) == fds
 
     @staticmethod
-    def cores(monkeypatch, count: int) -> list:
-        """Claim ``count`` usable cores; returns the list of forks made."""
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)))
-        fork, forks = os.fork, []
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return forks
-
-    @staticmethod
     def cells(records) -> list:
         # repr, so that the NaN witnesses of a failed record compare equal.
         return [(repr(r), repr(r.trace_grid)) for r in records]
@@ -677,9 +663,9 @@ class TestPooledSweep:
                     return super().batch(d, k, seed, n)
 
             embedding = FailsAtFive()
-        self.cores(monkeypatch, 1)
+        claim_cores(monkeypatch, 1)
         serial = run_diagnostics(self.CONFIG, orders, embedding)
-        forks = self.cores(monkeypatch, processes)
+        forks = claim_cores(monkeypatch, processes)
         pooled = run_diagnostics(self.CONFIG, orders, embedding)
         assert len(forks) == min(processes, len(orders)) - 1
         assert [r.n for r in pooled] == sorted(orders)
@@ -694,9 +680,9 @@ class TestPooledSweep:
         # os.pipe (the token pipe, then a worker's first pipe): the sweep
         # runs here, with the same records.
         orders = (4, 5, 6)
-        self.cores(monkeypatch, 1)
+        claim_cores(monkeypatch, 1)
         serial = run_diagnostics(self.CONFIG, orders)
-        forks = self.cores(monkeypatch, 1 if case == "one-core" else 2)
+        forks = claim_cores(monkeypatch, 1 if case == "one-core" else 2)
         calls = []
         if case != "one-core":
             call, failing = ("fork", 1) if case == "thread" else \
@@ -743,7 +729,7 @@ class TestPooledSweep:
                     time.sleep(0.005)
                 return super().batch(d, k, seed, n)
 
-        self.cores(monkeypatch, 2)
+        claim_cores(monkeypatch, 2)
         with pytest.raises(SweepFailure, match=r"^order \d failed in a "
                            r"worker$") as info:
             run_diagnostics(self.CONFIG, (4, 5, 6, 7), RaisesInWorker())
@@ -771,7 +757,7 @@ class TestPooledSweep:
                     time.sleep(0.005)
                 return super().batch(d, k, seed, n)
 
-        self.cores(monkeypatch, 2)
+        claim_cores(monkeypatch, 2)
         with pytest.raises(_pool.WorkerError) as info:
             run_diagnostics(self.CONFIG, (4, 5, 6, 7), RaisesInWorker())
         error = info.value
@@ -800,7 +786,7 @@ class TestPooledSweep:
                     time.sleep(0.005)
                 raise ValueError("own order failed")
 
-        self.cores(monkeypatch, 2)
+        claim_cores(monkeypatch, 2)
         begin = time.monotonic()
         with pytest.raises(ValueError, match="own order failed"):
             run_diagnostics(self.CONFIG, (4, 5), SleepsInWorker())

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ramsey_toolkit.primes as primes
 from ramsey_toolkit import (PSQuery, enumerate_ps, factorize, first_primes,
-                            growth_ratio, is_prime_sequence, persistence_scan,
+                            is_prime_sequence, persistence_scan,
                             select_candidate)
 
 
@@ -207,20 +207,3 @@ class TestPersistence:
             return
         assert persistence_scan(7, lo, hi, PSQuery(1, *caps)).selections == \
             tuple(heads)
-
-
-class TestGrowthRatio:
-    def test_pairs_and_flags(self):
-        pairs = growth_ratio((115, 209), (46, 115))
-        assert pairs[0][0] == pytest.approx(115 / 46)
-        assert pairs[0][1] is False
-        assert pairs[1][0] == pytest.approx(209 / 115)
-        assert pairs[1][1] is True
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            growth_ratio((1, 2), (3,))
-        with pytest.raises(ValueError):
-            growth_ratio((), ())
-        with pytest.raises(ValueError):
-            growth_ratio((1,), (0,))
