@@ -16,23 +16,20 @@ import pickle
 import signal
 import threading
 
-# A list is cut into at least this many chunks per process, or one chunk
-# per item when there are fewer; chunk i holds every chunks-th item from
-# the i-th, and each process claims the next chunk whenever it finishes one.
-# With 4, 8, 16 or 32 chunks per process, two-process glue levels of 71 to
-# 362 parents took the same time within 10% on a 2-core x86-64 VM (medians
-# of 21); with p processes, 16 keep each chunk, and so the wait for the last
-# one claimed, at 1/(16 p) of a list.
+# A list is cut into this many chunks per process, or one chunk per item
+# when there are fewer; chunk i holds every chunks-th item from the i-th,
+# and each process claims the next chunk whenever it finishes one.  With 4,
+# 8, 16 or 32 chunks per process, two-process glue levels of 71 to 362
+# parents took the same time within 10% on a 2-core x86-64 VM (medians of
+# 21); with p processes, 16 keep each chunk, and so the wait for the last
+# one claimed, at 1/(16 p) of a list.  The glue walk pools an order only
+# when it fills these chunks, and splits one order below the first that
+# does.  On the same VM with two processes, the (4,4) walk to v=11 took
+# 23.6-25.2 s split so (at v=7, 362 classes) and 25.6-28.7 s split at
+# that first order (v=6, 84); the (3,6) walk to v=12 took 7.5-10.1 s
+# split so (v=7, 100), 7.2-9.1 s at the first order (v=6, 37) and
+# 6.9-9.9 s at the first order of 100 classes per process (v=8, 356).
 _CHUNKS_PER_PROCESS = 16
-
-# A longer list is cut into chunks of at most this many items, as far as one
-# PIPE_BUF token write holds them.  On the same VM, the (4,4) glue level of
-# 14,701 parents (about 0.4 ms each) in 32 chunks of about 460 parents left
-# this process waiting 0.030-0.103 s after its own last chunk (19 walks),
-# 0.006-0.062 s of it for the worker to finish (6 walks); in 918 chunks of
-# 16 parents it waited 0.031-0.043 s, at most 0.004 s of it for the worker
-# and the rest unpickling the worker's children.
-_ITEMS_PER_CHUNK = 16
 
 # Token of the token pipe that ends a process's claims; chunk indices stay
 # below it.
@@ -95,18 +92,6 @@ def _claimed(items, chunks: int, tokens: int, work,
         results += work(items[chunk::chunks])
 
 
-def _chunk_count(items: int, processes: int, pipe_buf: int) -> int:
-    """Chunks to cut a list of ``items`` into for ``processes`` processes.
-
-    ``_CHUNKS_PER_PROCESS`` per process, or chunks of ``_ITEMS_PER_CHUNK``
-    items when that gives more, as many as the token pipe's ``pipe_buf``
-    holds beside one end marker per process, and never more than items.
-    """
-    return min(items,
-               max(_CHUNKS_PER_PROCESS * processes, items // _ITEMS_PER_CHUNK),
-               pipe_buf // 2 - processes)
-
-
 def run(work, items, processes: int, name: str, results: str) -> list:
     """``work`` of every chunk of ``items``, computed by up to ``processes``
     processes and concatenated in an order that depends on who claimed
@@ -115,14 +100,16 @@ def run(work, items, processes: int, name: str, results: str) -> list:
     ``work`` takes a list of items and returns a list of results.  With
     fewer than two processes, or when the token pipe cannot be made, it
     runs here on the whole list.  Otherwise this process writes the tokens
-    of :func:`_chunk_count` chunks, then one end marker per process, into
-    one token pipe, forks up to ``processes - 1`` workers, fewer if the
-    pipe's ``PIPE_BUF`` cannot hold the tokens of ``_CHUNKS_PER_PROCESS``
-    chunks for all of them, and claims chunks with them until it reads an
-    end marker.  If ``os.pipe`` or ``os.fork`` fails, the workers already
+    of ``_CHUNKS_PER_PROCESS`` chunks per process, or of one chunk per item
+    when there are fewer, then one end marker per process, into one token
+    pipe, forks up to ``processes - 1`` workers, fewer if the pipe's
+    ``PIPE_BUF`` cannot hold the tokens of ``_CHUNKS_PER_PROCESS`` chunks
+    for all of them, and claims chunks with them until it reads an end
+    marker.  If ``os.pipe`` or ``os.fork`` fails, the workers already
     started claim with this process.  Each worker pickles ``("ok",
     results)`` or ``("error", exception, traceback text)`` into its own
-    result pipe.  A worker's exception is raised here with the worker's
+    result pipe; results that do not pickle are sent as the pickling
+    error.  A worker's exception is raised here with the worker's
     traceback as its cause; a worker that ends without its results raises
     :class:`RuntimeError`.  ``name`` and ``results`` name the workers and
     their results in error messages.  Every worker is killed and reaped
@@ -138,10 +125,9 @@ def run(work, items, processes: int, name: str, results: str) -> list:
     try:
         # The tokens, two bytes for each chunk and each end marker, must
         # fit in PIPE_BUF bytes to be written at once.
-        pipe_buf = os.fpathconf(tokens[1], "PC_PIPE_BUF")
-        processes = min(processes,
-                        pipe_buf // (2 * (_CHUNKS_PER_PROCESS + 1)))
-        chunks = _chunk_count(len(items), processes, pipe_buf)
+        processes = min(processes, os.fpathconf(tokens[1], "PC_PIPE_BUF")
+                        // (2 * (_CHUNKS_PER_PROCESS + 1)))
+        chunks = min(len(items), _CHUNKS_PER_PROCESS * processes)
         # At most PIPE_BUF bytes into an empty pipe: one write that never
         # blocks and that no reader sees in part.
         os.write(tokens[1], b"".join(
@@ -199,8 +185,9 @@ def _serve(items, chunks: int, tokens: int, results: int, work, main: int,
     The worker first closes the ``inherited`` descriptors of the other pipe
     ends, so that it holds no write end of the token pipe and no other
     worker's result pipe, then claims chunks while ``main`` is its parent.
-    An exception that does not survive a pickle round trip is sent as a
-    :class:`WorkerError`.
+    Its results are pickled before anything is written, so results that
+    do not pickle send the pickling error instead.  An exception that does
+    not survive a pickle round trip is sent as a :class:`WorkerError`.
     """
     status = 1
     try:
@@ -208,7 +195,9 @@ def _serve(items, chunks: int, tokens: int, results: int, work, main: int,
             os.close(fd)
         with os.fdopen(results, "wb") as out:
             try:
-                result = "ok", _claimed(items, chunks, tokens, work, main)
+                result = pickle.dumps(
+                    ("ok", _claimed(items, chunks, tokens, work, main)),
+                    pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:
                 import traceback
                 text = traceback.format_exc()
@@ -219,8 +208,9 @@ def _serve(items, chunks: int, tokens: int, results: int, work, main: int,
                     sent = WorkerError(
                         f"{type(exc).__module__}.{type(exc).__qualname__}",
                         str(exc), text)
-                result = "error", sent, text
-            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                result = pickle.dumps(("error", sent, text),
+                                      pickle.HIGHEST_PROTOCOL)
+            out.write(result)
         status = 0
     finally:
         os._exit(status)

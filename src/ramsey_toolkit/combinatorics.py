@@ -422,27 +422,29 @@ def _children(parents, constraint: CliqueConstraint,
     return [kept] if count else children
 
 
-def _counts_below(parents, constraint: CliqueConstraint,
-                  v_max: int) -> list[tuple[list[int], int, BudgetError | None]]:
-    """One-item list ``[(counts, failed, error)]`` for ``parents`` of one
-    order v: ``counts[i]`` classes of order v + 1 + i <= ``v_max`` grow
+def _counts_below(parents, constraint: CliqueConstraint, v_max: int
+                  ) -> list[tuple[list[int], int, BudgetError | None,
+                                  str | None]]:
+    """One-item list ``[(counts, failed, error, trace)]`` for ``parents`` of
+    one order v: ``counts[i]`` classes of order v + 1 + i <= ``v_max`` grow
     from them.
 
     Each parent's subtree is walked depth-first with :func:`_children` on
     one parent at a time, and order ``v_max`` is only counted, so no order
     is held whole.  A :class:`BudgetError` from one call is caught as
-    ``error``, with ``failed`` the order of the children that call grows;
-    that parent's children are skipped, and so is every call that would
-    grow order ``failed`` or a later one, so ``failed`` is the least order
-    at which any call failed and every order before it is counted in full.
-    Without an error ``failed`` is ``v_max + 1``.
+    ``error``, with its traceback text as ``trace`` and ``failed`` the
+    order of the children that call grows; that parent's children are
+    skipped, and so is every call that would grow order ``failed`` or a
+    later one, so ``failed`` is the least order at which any call failed
+    and every order before it is counted in full.  Without an error
+    ``failed`` is ``v_max + 1`` and ``error`` and ``trace`` are None.
     """
     v = len(parents[0][0])
     counts = [0] * (v_max - v)
-    failed, error = v_max + 1, None
+    failed, error, trace = v_max + 1, None, None
 
     def descend(red, generators):
-        nonlocal failed, error
+        nonlocal failed, error, trace
         w = len(red) + 1
         if w >= failed:
             return
@@ -453,7 +455,9 @@ def _counts_below(parents, constraint: CliqueConstraint,
                 return
             children = _children([(red, generators)], constraint)
         except BudgetError as exc:
+            import traceback
             failed, error = w, exc
+            trace = "".join(traceback.format_exception(exc))
             return
         counts[w - v - 1] += len(children)
         for _, child, child_generators in children:
@@ -461,7 +465,7 @@ def _counts_below(parents, constraint: CliqueConstraint,
 
     for red, generators in parents:
         descend(red, generators)
-    return [(counts, failed, error)]
+    return [(counts, failed, error, trace)]
 
 
 def _walk(constraint: CliqueConstraint,
@@ -479,7 +483,9 @@ def _walk(constraint: CliqueConstraint,
     subtrees in chunks, and the chunks' count vectors are added, so the
     profile does not depend on the number of cores or on who claimed which
     chunk.  Past the canonical labelling budget the :class:`BudgetError`
-    carries the profile of the orders before the first that failed.
+    carries the profile of the orders before the first that failed, and
+    is raised from the first chunk's error at that order, with a worker's
+    traceback chained to that error as its cause.
     """
     parents = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(parents))]
@@ -503,10 +509,14 @@ def _walk(constraint: CliqueConstraint,
     chunks = _pool.run(work, parents,
                        processes if len(parents) >= big else 1,
                        "glue", "counts")
-    counts = [sum(column) for column in zip(*(c for c, _, _ in chunks))]
-    _, failed, error = min(chunks, key=lambda chunk: chunk[1])
+    counts = [sum(column) for column in zip(*(c for c, _, _, _ in chunks))]
+    _, failed, error, trace = min(chunks, key=lambda chunk: chunk[1])
     for v, count in enumerate(counts, start=len(profile) + 1):
         if v == failed:
+            if error.__traceback__ is None:
+                # A worker's error comes back pickled, with its traceback
+                # as text.
+                error.__cause__ = RuntimeError(f"in a glue chunk:\n{trace}")
             raise BudgetError(str(error), partial=tuple(profile)) from error
         profile.append((v, count))
         if not count:

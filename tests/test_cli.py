@@ -324,12 +324,13 @@ print(sorted(loaded & {{"scipy", "networkx", "sympy", "numba"}}))
         assert result.stdout.strip().split("\n")[-1] == "[]"
 
     def test_glue_forks_without_process_pool_modules(self, tmp_path):
-        # The (3,5) walk to v=9 makes one pool call, for the subtrees below
-        # its split order, with one os.fork per extra core and nothing
-        # else, so a run pays for neither multiprocessing nor
-        # concurrent.futures.
+        # On three cores the (3,5) walk to v=9 makes one pool call, for
+        # the subtrees below its split order, with one os.fork per extra
+        # core and nothing else, so a run pays for neither multiprocessing
+        # nor concurrent.futures.
         script = f"""
 import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
 forks = []
 fork = os.fork
 def counting_fork():
@@ -345,5 +346,4 @@ print(len(forks), sorted(name for name in sys.modules if name.partition(".")[0]
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        extra_cores = len(os.sched_getaffinity(0)) - 1
-        assert result.stdout.splitlines()[-1] == f"{extra_cores} []"
+        assert result.stdout.splitlines()[-1] == "2 []"

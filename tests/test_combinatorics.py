@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import re
 import select
 import signal
@@ -1331,21 +1332,21 @@ class TestParallelWalk:
         ids=["r35_v12", "r44_v8"])
     def test_parallel_matches_serial(self, m, n, v_max, final, split,
                                      monkeypatch):
-        # One core walks depth-first from the single vertex; every usable
-        # core splits one order below the first of 32 parents, or at it
-        # when fewer than two orders would remain below.  The chunks' count
+        # One core walks depth-first from the single vertex; two cores
+        # split one order below the first of 32 parents, or at it when
+        # fewer than two orders would remain below.  The chunks' count
         # vectors are those of the same chunks walked here, and they add
         # up to the serial profile.
         constraint = CliqueConstraint(m, n)
         claim_cores(monkeypatch, 1)
         serial = frontier_profile(constraint, v_max)
         assert serial[-1] == final
-        monkeypatch.undo()
+        claim_cores(monkeypatch, 2)
         recorded = self.record_runs(monkeypatch)
         assert frontier_profile(constraint, v_max) == serial
         self.assert_no_children()
         (parents, processes, chunks), = recorded
-        assert processes == len(os.sched_getaffinity(0))
+        assert processes == 2
         # Representatives with their generators, not only their keys.
         assert sorted(parents) == sorted(
             (red, generators) for _, red, generators in
@@ -1353,8 +1354,9 @@ class TestParallelWalk:
         expected = [combinatorics._counts_below(
             parents[i::len(chunks)], constraint, v_max)[0][0]
             for i in range(len(chunks))]
-        assert sorted(c for c, _, _ in chunks) == sorted(expected)
-        assert {(f, e) for _, f, e in chunks} == {(v_max + 1, None)}
+        assert sorted(c for c, _, _, _ in chunks) == sorted(expected)
+        assert {(f, e, t) for _, f, e, t in chunks} == \
+            {(v_max + 1, None, None)}
         assert [sum(column) for column in zip(*expected)] == \
             [count for _, count in serial[split:]]
 
@@ -1384,27 +1386,36 @@ class TestParallelWalk:
         assert len(forks) == 1
         self.assert_no_children()
 
-    def test_chunks_grow_with_the_level(self):
-        # Every level of up to 362 parents, the most that the (3,5) and
-        # (4,4) walks to v=10 and v=7 have, keeps 16 chunks per process;
-        # the (4,4) v=9 level's 14,701 parents go in chunks of 16, and no
-        # level's tokens overflow one PIPE_BUF write.
-        for processes in (2, 3):
-            for parents in range(1, 363):
-                assert _pool._chunk_count(parents, processes, 4096) == \
-                    min(parents, 16 * processes)
-        assert _pool._chunk_count(14701, 2, 4096) == 918
-        for parents in (14701, 103706, 546356):
-            for processes in (2, 3, 120):
-                chunks = _pool._chunk_count(parents, processes, 4096)
-                assert 16 * processes <= chunks
-                assert 2 * (chunks + processes) <= 4096
-        assert _pool._chunk_count(546356, 2, 4096) == 2046
+    def test_chunks_grow_with_the_level(self, monkeypatch, time_limit):
+        # A walk pools only a split order of at least 16 parents per
+        # process, and cuts it into 16 chunks per process; a shorter list
+        # goes in one chunk per item.  Chunk i holds every chunks-th item
+        # from the i-th.
+        for processes, split in ((2, [32, 71, 84]), (3, [71, 179, 84])):
+            claim_cores(monkeypatch, processes)
+            recorded = self.record_runs(monkeypatch)
+            for m, n, v_max in ((3, 5, 8), (3, 5, 10), (4, 4, 7)):
+                constraint = CliqueConstraint(m, n)
+                assert frontier_profile(constraint, v_max) == \
+                    _oracle_profile(constraint, v_max)
+            assert [len(parents) for parents, _, _ in recorded] == split
+            assert {len(chunks) for _, _, chunks in recorded} == \
+                {16 * processes}
+            assert sorted(_pool.run(lambda items: [items], list(range(5)),
+                                    processes, "test", "items")) == \
+                [[i] for i in range(5)]
+            assert sorted(_pool.run(lambda items: [items], list(range(100)),
+                                    processes, "test", "items")) == \
+                [list(range(i, 100, 16 * processes))
+                 for i in range(16 * processes)]
+            self.assert_no_children()
+            monkeypatch.undo()
 
     def test_budget_error_in_worker(self, monkeypatch):
         # Forked children inherit the patched labelling, so only the
         # workers' chunks of the subtrees below v=7 fail, at v=11.  A
-        # chunk returns its error with its counts, and the walk raises it.
+        # chunk returns its error with its counts and its traceback text,
+        # and the walk raises it with that text chained as its cause.
         main = os.getpid()
         check = combinatorics._check_labelling_budget
 
@@ -1416,10 +1427,7 @@ class TestParallelWalk:
 
         monkeypatch.setattr(combinatorics, "_check_labelling_budget",
                             budget_in_child)
-        if len(os.sched_getaffinity(0)) == 1:
-            assert frontier_profile(CliqueConstraint(3, 5), 11)[-1] == \
-                (11, 105)
-            return
+        claim_cores(monkeypatch, 2)
         with pytest.raises(BudgetError) as info:
             frontier_profile(CliqueConstraint(3, 5), 11)
         assert info.value.partial == _R35_V10
@@ -1429,6 +1437,31 @@ class TestParallelWalk:
         pid = re.fullmatch(r"labelling budget exceeded in child (\d+)",
                            str(child_error))
         assert pid and int(pid.group(1)) != main
+        assert "in _children" in str(child_error.__cause__)
+        assert "budget_in_child" in str(child_error.__cause__)
+        self.assert_no_children()
+
+    def test_unpicklable_results_in_worker(self, tmp_path, time_limit):
+        # Results that do not pickle are sent as the worker's pickling
+        # error, with its traceback as the cause, not lost with a worker
+        # that ends without its results.  This process waits in its first
+        # chunk until the worker has claimed one.
+        main = os.getpid()
+        claimed = tmp_path / "claimed"
+
+        def work(items):
+            if os.getpid() != main:
+                claimed.touch()
+                return [lambda: None]
+            deadline = time.monotonic() + 30
+            while not claimed.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return items
+
+        with pytest.raises((AttributeError, pickle.PicklingError)) as info:
+            _pool.run(work, list(range(4)), 2, "test", "items")
+        assert "pickle" in str(info.value)
+        assert re.match(r"in test worker \d+:\n", str(info.value.__cause__))
         self.assert_no_children()
 
     def test_unpicklable_error_in_worker(self, tmp_path, monkeypatch,
@@ -1523,9 +1556,12 @@ class TestParallelWalk:
     def test_dead_worker_raises(self):
         # A child that exits in its chunk must fail the walk, not hang it;
         # run in a fresh interpreter so a hang is cut off by the timeout.
+        # On two cores the (3,5) walk to v=8 pools its 32 classes of v=6.
         script = """
 import os
 from ramsey_toolkit import CliqueConstraint, frontier_profile
+
+os.sched_getaffinity = lambda pid: {0, 1}
 
 class ExitsInWorker(CliqueConstraint):
     def __getattribute__(self, name):
@@ -1545,12 +1581,8 @@ except RuntimeError as exc:
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        if len(os.sched_getaffinity(0)) > 1:
-            assert re.fullmatch(r"no children: glue worker \d+ ended with "
-                                r"status 3 without its counts\n",
-                                result.stdout)
-        else:
-            assert result.stdout == "(8, 179)\n"
+        assert re.fullmatch(r"no children: glue worker \d+ ended with "
+                            r"status 3 without its counts\n", result.stdout)
 
     def test_error_in_own_share_kills_child(self, tmp_path, monkeypatch):
         # The worker sleeps in the first chunk it claims until it is
