@@ -6,7 +6,8 @@ everything they reach are inherited, not pickled.  The workers and this
 process claim chunks from that pipe until none is left and apply the work
 function to each chunk they claim, and the workers send their results
 back pickled.  The glue walk runs the subtrees below its split order in
-one call, and the diagnostics sweep its orders in one call.
+one call, the diagnostics sweep its orders in one call, and the CNF
+writer its two clause sides in one call.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ no artifact depends on the clock.
 from __future__ import annotations
 
 import argparse
+import codecs
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import CnfInstance, stream_cnf, write_map
+from .cnf import CnfInstance, _pwrite_cnf, stream_cnf, write_map
 from .combinatorics import (BudgetError, CliqueConstraint, frontier_profile,
                             qubit_cost)
 from .diagnostics import (DiagnosticsConfig, build_accumulator,
@@ -147,8 +150,21 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
     output = args.o
     output.parent.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    with open(output, "w", encoding="ascii", newline="") as sink:
-        instance = stream_cnf(args.N, args.m, args.n, sink)
+    # Binary, created and truncated: offsets count bytes, and no append
+    # mode sends each pwrite to the end.
+    with open(output, "wb") as sink:
+        if not stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
+            # A pipe or a device has no offsets: write in order.
+            instance = stream_cnf(args.N, args.m, args.n,
+                                  codecs.getwriter("ascii")(sink))
+        else:
+            try:
+                instance = _pwrite_cnf(args.N, args.m, args.n, sink.fileno())
+            except BaseException:
+                # The header already claims every clause, and a side left
+                # unwritten reads as zeros: keep no such file.
+                output.unlink(missing_ok=True)
+                raise
     elapsed = time.perf_counter() - start
     print(f"wrote {output}: {instance.var_count} variables, "
           f"{instance.clause_count} clauses")

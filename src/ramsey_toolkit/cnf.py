@@ -7,20 +7,27 @@ subset order, so the emitted bytes are a pure function of (N, m, n).
 Per clause size, the (size-1)-subsets are built as one numpy table and
 their suffix rows gathered once; each block then gathers its heads and is
 written as fixed-width bytes, compacted only where a literal is narrower
-than the padded width.  Memory is that table plus one block, whatever the
-clause count: about 7 MB for the negative side and 6 MB for the positive
-side at N = 43, m = n = 5.
+than the padded width.  Memory per process is one side's table plus one
+block, whatever the clause count: about 7 MB for the negative side and
+6 MB for the positive side at N = 43, m = n = 5.
+
+:func:`stream_cnf` writes the instance in order to any text sink.
+:func:`_pwrite_cnf` writes it into a file: each side's byte length follows
+from (N, m, n) alone, so the two sides go to their own offsets, one
+process each where two cores may be used.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
+from . import _pool
 from .combinatorics import (_ENUM_EDGE_BUDGET, CliqueConstraint,
                             _enumerate_exists)
 
@@ -33,7 +40,7 @@ __all__ = [
 ]
 
 # Literals encoded per block (about 13k subsets at m = 5): one head gather
-# and one ``sink.write`` each.
+# and one write each.
 _BLOCK_LITERALS = 1 << 17
 
 
@@ -126,16 +133,19 @@ def _subsets(N: int, k: int) -> np.ndarray:
     return table
 
 
-def _stream_clauses(N: int, size: int, tokens: np.ndarray, var: np.ndarray,
-                    sink: TextIO) -> int:
-    """Write one clause per ``size``-subset of 1..N, in lexicographic order,
-    one ``sink.write`` per block of subsets; returns the clause count.
+def _stream_clauses(N: int, size: int, sign: str, var: np.ndarray,
+                    write: Callable[[np.ndarray], object]) -> int:
+    """Pass the clauses of every ``size``-subset of 1..N, with literals
+    signed by ``sign``, to ``write``, in lexicographic order, one call per
+    block of subsets; returns the clause count.
 
-    Each clause is the tokens of the subset's edge variables in
-    ``combinations`` order, then ``0``.  For the subset ``{i} + S`` with
-    ``i < min S`` that is the head, the tokens of the edges ``(i, s)`` for
-    ``s`` in ``S``, followed by the suffix, the tokens of the pairs inside
-    ``S``.  The suffix rows of all ``(size-1)``-subsets ``S`` (built by
+    Each call gets the block's ASCII bytes as a 1-D ``uint8`` array, valid
+    only during the call.  Each clause is the tokens of the subset's edge
+    variables (``var``, from :func:`_edge_table`) in ``combinations``
+    order, then ``0``.  For the subset ``{i} + S`` with ``i < min S`` that
+    is the head, the tokens of the edges ``(i, s)`` for ``s`` in ``S``,
+    followed by the suffix, the tokens of the pairs inside ``S``.  The
+    suffix rows of all ``(size-1)``-subsets ``S`` (built by
     :func:`_subsets`) are gathered once, in lexicographic order; those
     with ``min S > i`` are a contiguous tail of that table, so a block for
     first vertex ``i`` gathers only its heads and copies a slice of suffix
@@ -147,6 +157,7 @@ def _stream_clauses(N: int, size: int, tokens: np.ndarray, var: np.ndarray,
     """
     if size > N:
         return 0
+    tokens = _token_table(math.comb(N, 2), sign)
     k = size - 1
     suffixes = _subsets(N, k)
     p, q = np.array(list(combinations(range(k), 2)),
@@ -176,10 +187,39 @@ def _stream_clauses(N: int, size: int, tokens: np.ndarray, var: np.ndarray,
             out[:, :head_width] = np.take(heads, tail).view(np.uint8)
             out[:, head_width:width] = suffix_rows[start:start
                                                    + tail.shape[0]]
-            sink.write((out if full_width else out[out != 0])
-                       .tobytes().decode("ascii"))
+            write((out if full_width else out[out != 0]).reshape(-1))
             emitted += tail.shape[0]
     return emitted
+
+
+def _side_bytes(N: int, size: int, sign: str) -> int:
+    """Byte length of the clauses that :func:`_stream_clauses` writes for
+    ``size`` and ``sign``, from the sizes alone.
+
+    Each of the C(N, 2) edges lies in C(N-2, size-2) of the
+    ``size``-subsets, and its token is the sign, its decimal digits and a
+    space; each clause ends in ``0\\n``.  The variables 1..V have
+    ``sum(V - 10**e + 1 for 10**e <= V)`` digits in all.
+    """
+    if size > N:
+        return 0
+    var_count = math.comb(N, 2)
+    token_bytes = (len(sign) + 1) * var_count + sum(
+        var_count - 10 ** e + 1 for e in range(len(str(var_count))))
+    return (math.comb(N - 2, size - 2) * token_bytes
+            + 2 * math.comb(N, size))
+
+
+def _checked(instance: CnfInstance, emitted: int) -> CnfInstance:
+    if emitted != instance.clause_count:
+        raise RuntimeError(
+            f"clause count mismatch: emitted {emitted}, "
+            f"header {instance.clause_count}")
+    return instance
+
+
+def _header(instance: CnfInstance) -> str:
+    return f"p cnf {instance.var_count} {instance.clause_count}\n"
 
 
 def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:
@@ -187,22 +227,86 @@ def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:
 
     Emits the ``p cnf`` header, then the negative-literal clauses of all
     m-subsets in lexicographic order, then the positive-literal clauses of
-    all n-subsets.  Clauses go out in blocks of about ``_BLOCK_LITERALS``
-    literals.  Memory holds one side's table of C(N, size-1) suffix rows
-    and subsets at a time, plus one block.
+    all n-subsets, each through ``sink.write`` of a ``str``.  Clauses go
+    out in blocks of about ``_BLOCK_LITERALS`` literals.  Memory holds one
+    side's table of C(N, size-1) suffix rows and subsets at a time, plus
+    one block.  The ``cnf`` command writes a regular file through
+    :func:`_pwrite_cnf` instead, where each process holds one side's
+    table, both sides at once on two cores.
     """
     instance = CnfInstance.for_problem(N, m, n)
-    sink.write(f"p cnf {instance.var_count} {instance.clause_count}\n")
+    sink.write(_header(instance))
     var = _edge_table(N)
-    emitted = sum(
-        _stream_clauses(N, size, _token_table(instance.var_count, sign),
-                        var, sink)
-        for size, sign in ((m, "-"), (n, "")))
-    if emitted != instance.clause_count:
-        raise RuntimeError(
-            f"clause count mismatch: emitted {emitted}, "
-            f"header {instance.clause_count}")
-    return instance
+    return _checked(instance, sum(
+        _stream_clauses(N, size, sign, var,
+                        lambda block: sink.write(str(block, "ascii")))
+        for size, sign in ((m, "-"), (n, ""))))
+
+
+def _pwrite_all(fd: int, data, offset: int) -> int:
+    """Write all of ``data`` to ``fd`` at ``offset``, looping on short
+    writes; returns the offset after it."""
+    view = memoryview(data)
+    while view:
+        written = os.pwrite(fd, view, offset)
+        offset += written
+        view = view[written:]
+    return offset
+
+
+def _pwrite_side(N: int, size: int, sign: str, var: np.ndarray, fd: int,
+                 start: int, length: int) -> int:
+    """Write one side's clauses to ``fd`` from byte ``start``; returns the
+    clause count.  Raises before writing past ``start + length``, and if
+    the side ends short of it."""
+    end = start + length
+    offset = start
+
+    def write(block: np.ndarray) -> None:
+        nonlocal offset
+        if offset + block.size > end:
+            raise RuntimeError(
+                f"side of size {size} overruns its {length} bytes")
+        offset = _pwrite_all(fd, block, offset)
+
+    emitted = _stream_clauses(N, size, sign, var, write)
+    if offset != end:
+        raise RuntimeError(f"side of size {size} wrote {offset - start} "
+                           f"bytes, not {length}")
+    return emitted
+
+
+def _pwrite_cnf(N: int, m: int, n: int, fd: int) -> CnfInstance:
+    """Write the full DIMACS instance into the regular file open for
+    writing at descriptor ``fd``, which must be empty and not in append
+    mode, and return its header data.
+
+    The bytes are those of :func:`stream_cnf`.  The header goes first, and
+    each side at its own offset with ``os.pwrite``: the negative side
+    right after the header, the positive side :func:`_side_bytes` later.
+    The two sides are the two items of one :func:`_pool.run` call, so with
+    two usable cores a forked worker writes one side while this process
+    writes the other, each holding only its own side's table.  Raises if a
+    side writes other than its precomputed length, or if the file does not
+    end up as long as the header plus both sides.
+    """
+    instance = CnfInstance.for_problem(N, m, n)
+    offset = _pwrite_all(fd, _header(instance).encode("ascii"), 0)
+    sides = []
+    for size, sign in ((m, "-"), (n, "")):
+        length = _side_bytes(N, size, sign)
+        sides.append((size, sign, offset, length))
+        offset += length
+    var = _edge_table(N)
+    emitted = sum(_pool.run(
+        lambda chunk: [_pwrite_side(N, size, sign, var, fd, start, length)
+                       for size, sign, start, length in chunk],
+        sides, min(len(sides), _pool.allowed_processes()),
+        "cnf", "clause counts"))
+    written = os.fstat(fd).st_size
+    if written != offset:
+        raise RuntimeError(f"wrote a file of {written} bytes, not {offset}")
+    return _checked(instance, emitted)
 
 
 def write_map(N: int, sink: TextIO) -> int:

@@ -6,6 +6,11 @@ import hashlib
 import io
 import itertools
 import math
+import os
+import re
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +20,11 @@ from hypothesis import given, settings, strategies as st
 from ramsey_toolkit import (CliqueConstraint, CnfInstance, check_small,
                             edge_var, exists_good_coloring, stream_cnf,
                             write_map)
-from ramsey_toolkit.cli import dispatch
+from ramsey_toolkit import cnf
+from ramsey_toolkit.cli import dispatch, main
 from ramsey_toolkit.cnf import _BLOCK_LITERALS, _subsets
+
+from conftest import claim_cores
 
 
 def parse_dimacs(text: str) -> tuple[tuple[int, int], list[list[int]]]:
@@ -265,6 +273,149 @@ class TestByteOracle:
             "r44_N20.cnf.map": "49cd1de78416743367379eb0788e40783f75d660b883f"
                                "0d58c58b349e78e1aba",
         }
+
+
+class TestPooledCnf:
+    """The CLI writes the header, then each side at its own byte offset,
+    the two sides in one pool call: the bytes must not show it, a failed
+    run must leave no file, and no worker may outlive the call."""
+
+    @staticmethod
+    def assert_no_children():
+        # Covers running children and unreaped zombies alike.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def reference_bytes(N: int, m: int, n: int) -> bytes:
+        expected = io.StringIO()
+        _reference_stream(N, m, n, expected)
+        return expected.getvalue().encode("ascii")
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("N,m,n", TestByteOracle.GRID)
+    def test_cli_matches_reference(self, tmp_path, monkeypatch, N, m, n,
+                                   cores):
+        forks = claim_cores(monkeypatch, cores)
+        target = tmp_path / "instance.cnf"
+        assert dispatch(["cnf", "-N", str(N), "-m", str(m), "-n", str(n),
+                         "-o", str(target)]) == 0
+        _assert_same_text(target.read_bytes(), self.reference_bytes(N, m, n))
+        assert len(forks) == cores - 1
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_paper_digest_through_cli(self, tmp_path, monkeypatch, cores):
+        claim_cores(monkeypatch, cores)
+        target = tmp_path / "r55_N32.cnf"
+        assert dispatch(["cnf", "-N", "32", "-m", "5", "-n", "5",
+                         "-o", str(target)]) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+            TestByteOracle.PAPER_DIGESTS[32]
+        self.assert_no_children()
+
+    def test_sides_written_here_while_a_thread_lives(self, tmp_path,
+                                                     monkeypatch):
+        # A forked child of a threaded process can deadlock, so with a
+        # second thread alive both sides are written here, still by offset.
+        forks = claim_cores(monkeypatch, 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            target = tmp_path / "instance.cnf"
+            assert dispatch(["cnf", "-N", "12", "-m", "3", "-n", "4",
+                             "-o", str(target)]) == 0
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+        _assert_same_text(target.read_bytes(), self.reference_bytes(12, 3, 4))
+
+    def test_pipe_written_in_order(self, tmp_path):
+        # A pipe has no offsets: the CLI streams into it in order, and
+        # leaves it in place.
+        fifo = tmp_path / "instance.cnf"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert dispatch(["cnf", "-N", "7", "-m", "3", "-n", "4",
+                             "-o", str(fifo)]) == 0
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        _assert_same_text(got, self.reference_bytes(7, 3, 4))
+        assert fifo.exists()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                         cores):
+        # The positive side fails, in whichever process writes it: the
+        # header and the negative side are already on disk, and the
+        # command removes them and writes no map.
+        stream_clauses = cnf._stream_clauses
+
+        def failing(N, size, sign, var, write):
+            if sign == "":
+                raise ValueError("positive side failed")
+            return stream_clauses(N, size, sign, var, write)
+
+        monkeypatch.setattr(cnf, "_stream_clauses", failing)
+        forks = claim_cores(monkeypatch, cores)
+        target = tmp_path / "r55_N12.cnf"
+        monkeypatch.setattr(sys, "argv", [
+            "ramsey-toolkit", "cnf", "-N", "12", "-o", str(target), "--map"])
+        assert main() == 1
+        assert "error: positive side failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert len(forks) == cores - 1
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("sign", ["-", ""])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_side_length_mismatch_raises(self, tmp_path, monkeypatch, sign,
+                                         delta):
+        # A side that would write past its precomputed length, or that
+        # ends short of it, fails the run and leaves no file.
+        side_bytes = cnf._side_bytes
+        monkeypatch.setattr(
+            cnf, "_side_bytes", lambda N, size, s: side_bytes(N, size, s)
+            + (delta if s == sign else 0))
+        claim_cores(monkeypatch, 2)
+        target = tmp_path / "instance.cnf"
+        with pytest.raises(RuntimeError, match="bytes"):
+            dispatch(["cnf", "-N", "12", "-m", "3", "-n", "4",
+                      "-o", str(target)])
+        assert not target.exists()
+        self.assert_no_children()
+
+    def test_worker_error_carries_its_traceback(self, tmp_path, monkeypatch):
+        # This process waits in its side until the worker has raised in
+        # the other, so the error comes from the worker, with the worker's
+        # traceback chained as its cause.
+        main_pid = os.getpid()
+        raised = tmp_path / "raised"
+        stream_clauses = cnf._stream_clauses
+
+        def failing_in_worker(N, size, sign, var, write):
+            if os.getpid() != main_pid:
+                raised.touch()
+                raise ValueError(f"side {sign!r} failed in the worker")
+            deadline = time.monotonic() + 30
+            while not raised.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return stream_clauses(N, size, sign, var, write)
+
+        monkeypatch.setattr(cnf, "_stream_clauses", failing_in_worker)
+        forks = claim_cores(monkeypatch, 2)
+        target = tmp_path / "instance.cnf"
+        with pytest.raises(ValueError, match="failed in the worker") as info:
+            dispatch(["cnf", "-N", "12", "-o", str(target)])
+        cause = str(info.value.__cause__)
+        assert re.match(rf"in cnf worker {forks[0]}:\n", cause)
+        assert "in failing_in_worker" in cause
+        assert not target.exists()
+        self.assert_no_children()
 
 
 def _endpoints(var: int, N: int) -> tuple[int, int]:
