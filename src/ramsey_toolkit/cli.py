@@ -4,8 +4,9 @@ Every run is a pure function of its flags: explicit seeds, sorted
 iteration orders and canonical CSV formatting make repeated invocations
 byte-identical.  Exit status is 0 exactly when all requested artifacts
 were written and validated; a ``diag`` record that carries an error, or a
-``glue`` run past the labelling budget (which still writes the orders it
-finished), is reported on stderr and makes the status nonzero.  ``diag``,
+``glue`` run in which one key search passes the labelling budget of search
+nodes (which still writes the orders it finished), is reported on stderr
+and makes the status nonzero.  ``diag``,
 ``cnf`` and ``glue`` also print a one-line run summary on stderr, so that
 no artifact depends on the clock.
 """

@@ -75,13 +75,18 @@ __all__ = [
 # v = 17.
 _ENUM_EDGE_BUDGET = 28
 
-# Canonical labelling cap; the search is exact but has a factorial worst case
-# (large cells of tied, non-twin vertices).
-_CANONICAL_V_BUDGET = 12
+# Canonical labelling budget: search nodes of one key search, which is exact
+# but has a factorial worst case (large cells of tied, non-twin vertices).
+# The largest single search of the (3,5) walk to v=15 takes 221 nodes, of
+# (4,4) to v=18 743 and of (3,6) to v=18 7,432.  A red cycle C_v grows about
+# 3x per vertex at about 15 us a node on a 2-core x86-64 VM: C12 takes 570,
+# C16 34,144 and C17 103,020 (1.5 s), so C16 keys and C17 raises.
+_KEY_NODE_BUDGET = 1 << 16
 
 
 class BudgetError(RuntimeError):
-    """A requested computation exceeds its enumeration or labelling budget.
+    """A requested computation exceeds its budget: the labelled sweep's
+    edge count, or the search nodes of one canonical key search.
 
     ``partial`` carries whatever was established before the budget ran out
     (for threshold scans, the largest order fully verified).
@@ -376,9 +381,8 @@ def _children(parents, constraint: CliqueConstraint,
     of cell 0, so it starts with the new vertex, which passes test 4.  The
     new vertex is alone there when its degree is below every other
     vertex's, with no refinement, or when refinement leaves it alone.  Any
-    other child runs test 4 without collecting generators.  A child that
-    passes tests 1 to 3 past the labelling budget raises the
-    :class:`BudgetError` that the key search would.
+    other child runs test 4 without collecting generators.  Only a key
+    search can pass the labelling budget and raise :class:`BudgetError`.
     """
     children = []
     kept = 0
@@ -402,7 +406,6 @@ def _children(parents, constraint: CliqueConstraint,
             if count and (k < least or k == least and a & lowest == lowest):
                 # Below every other degree, the new vertex is alone in
                 # colour cell 0 before refinement.
-                _check_labelling_budget(v + 1)
                 kept += 1
                 continue
             child = _extend(red, a)
@@ -414,11 +417,9 @@ def _children(parents, constraint: CliqueConstraint,
                 key = _adjacency_key(child, colors, v, found)
                 if key is not None:
                     children.append((key, child, tuple(sorted(found))))
-            elif colors.count(0) == 1:
-                _check_labelling_budget(v + 1)
-                kept += 1
             else:
-                kept += _adjacency_key(child, colors, v) is not None
+                kept += (colors.count(0) == 1
+                         or _adjacency_key(child, colors, v) is not None)
     return [kept] if count else children
 
 
@@ -482,10 +483,10 @@ def _walk(constraint: CliqueConstraint,
     is that big.  One :func:`_pool.run` call then counts the split order's
     subtrees in chunks, and the chunks' count vectors are added, so the
     profile does not depend on the number of cores or on who claimed which
-    chunk.  Past the canonical labelling budget the :class:`BudgetError`
-    carries the profile of the orders before the first that failed, and
-    is raised from the first chunk's error at that order, with a worker's
-    traceback chained to that error as its cause.
+    chunk.  When a key search passes the labelling budget, the
+    :class:`BudgetError` carries the profile of the orders before the first
+    that failed, and is raised from the first chunk's error at that order,
+    with a worker's traceback chained to that error as its cause.
     """
     parents = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(parents))]
@@ -606,9 +607,12 @@ def canonical_key(coloring: EdgeColoring) -> bytes:
     each other (twins), only the first is tried; a leaf equal to the best
     jumps back to the node where the two orderings part; and a candidate
     in the orbit of an explored sibling, under the automorphisms found that
-    fix the prefix, is skipped.  Worst case is still factorial, hence the
-    hard cap at v = 12.  The key is computed from the red adjacency masks,
-    the form the glue walk stores colourings in, and nothing is cached.
+    fix the prefix, is skipped.  Worst case is still factorial, so a search
+    that passes its budget of 65,536 nodes raises :class:`BudgetError`; a
+    red 17-cycle does.  Each column takes 2 bytes up to v = 17 and
+    ``(v + 6) // 8`` past it.  The key is computed from the red adjacency
+    masks, the form the glue walk stores colourings in, and nothing is
+    cached.
     The walk keys only the children that pass its degree and colour tests,
     and the same search is its orbit test.
     """
@@ -653,7 +657,6 @@ def _adjacency_key(red, colors=None, first=None,
     generators.
     """
     v = len(red)
-    _check_labelling_budget(v)
     if v == 1:
         return bytes([1])
     if colors is None:
@@ -672,6 +675,7 @@ def _adjacency_key(red, colors=None, first=None,
     found: dict[bytes, int] = {}
     # The position a leaf equal to best jumps back to; v when none is due.
     back = v
+    nodes = 0
 
     def record(image: list[int]):
         fixed = 0
@@ -681,7 +685,12 @@ def _adjacency_key(red, colors=None, first=None,
         found[bytes(image)] = fixed
 
     def search(t: int, remaining: int, order: list[int], cols: list[int]):
-        nonlocal best, best_order, beaten, back
+        nonlocal best, best_order, beaten, back, nodes
+        nodes += 1
+        if nodes > _KEY_NODE_BUDGET:
+            raise BudgetError(f"canonical labelling at v={v} passed its "
+                              f"budget of {nodes - 1} search nodes",
+                              partial=None)
         while t < v:
             members = cells[sequence[t]] & remaining
             if members & (members - 1):
@@ -764,20 +773,13 @@ def _adjacency_key(red, colors=None, first=None,
         generators.update(found)
     if beaten:
         return None
+    # Byte 0 is v, so keys of different orders never collide.
+    width = max(2, (v + 6) // 8)
     out = bytearray([v, sequence[0]])
     for color, col in zip(sequence[1:], best[1:]):
         out.append(color)
-        out += col.to_bytes(2, "big")
+        out += col.to_bytes(width, "big")
     return bytes(out)
-
-
-def _check_labelling_budget(v: int) -> None:
-    """Raise :class:`BudgetError` when order ``v`` is past the canonical
-    labelling cap."""
-    if v > _CANONICAL_V_BUDGET:
-        raise BudgetError(
-            f"canonical_key supports v <= {_CANONICAL_V_BUDGET}, got {v}",
-            partial=None)
 
 
 def _closure(mask: int, images) -> int:
@@ -841,9 +843,9 @@ def frontier_profile(constraint: CliqueConstraint,
     no order is held whole (see :func:`_walk`).  The count at ``v_max`` is
     taken without keying or keeping its classes: a class whose new vertex
     is alone in the first refined colour cell passes the canonical
-    augmentation test without a key search (see :func:`_children`).  Past
-    the canonical labelling budget, :class:`BudgetError` carries the
-    profile of the orders already finished.
+    augmentation test without a key search (see :func:`_children`).  When
+    one key search passes the labelling budget, :class:`BudgetError`
+    carries the profile of the orders already finished.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
@@ -877,22 +879,15 @@ def survivor_rank(constraint: CliqueConstraint, v: int, d: int) -> int:
     """Rank of the survivor subspace a good colouring class count certifies.
 
     Zero when no good colouring exists at order v, otherwise the class
-    count capped at d - 1.  The count comes from the frontier walk, so an
-    order past the canonical labelling budget is fine when the frontier
-    empties first: ``survivor_rank(CliqueConstraint(2, 13), 13, d)`` is 0.
-    When the walk has to label a good colouring past the budget it raises
-    :class:`BudgetError` carrying the profile of the finished orders.  If
-    that is certain from the start, because n - 1 disjoint red K_{m-1}
-    joined by blue edges give a good colouring of every order up to
-    (m - 1)(n - 1), it raises at once, with no partial profile.
+    count capped at d - 1.  The count comes from the frontier walk, so it
+    costs the walk to order v: ``survivor_rank(CliqueConstraint(3, 5), 13,
+    d)`` is 1 in well under a second, while the (5,5) walk to v = 13 is
+    far too long to wait for.  When one key search of the walk passes the
+    labelling budget it raises :class:`BudgetError` carrying the profile of
+    the finished orders.
     """
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    certain = (constraint.m - 1) * (constraint.n - 1) > _CANONICAL_V_BUDGET
-    if v > _CANONICAL_V_BUDGET and certain:
-        raise BudgetError(
-            f"survivor_rank needs canonical labelling at v={v}, "
-            f"budget is v <= {_CANONICAL_V_BUDGET}", partial=None)
     return min(d - 1, _walk(constraint, v)[-1][1])

@@ -171,33 +171,48 @@ class TestGlue:
                             ("4", "3"), ("5", "1"), ("6", "0")]
         assert "threshold reached" in capsys.readouterr().out
 
+    def test_frontier_past_v12(self, tmp_path, capsys):
+        status = dispatch(["glue", "-m", "3", "-n", "5", "--vmax", "15",
+                           "--out_dir", str(tmp_path)])
+        assert status == 0
+        rows = read_csv(tmp_path / "glue_frontier.csv")
+        assert [row["good_classes"] for row in rows] == [
+            "1", "2", "3", "7", "13", "32", "71", "179", "290", "313",
+            "105", "12", "1", "0"]
+        out = capsys.readouterr().out
+        assert "v=13: 1 good classes\nv=14: 0 good classes\n" in out
+        assert "threshold reached: no good colouring on 14 vertices" in out
+
     def test_budget_keeps_partial_frontier(self, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 6)
+        # The largest key search of the (3,4) walk takes 10 nodes at v=6
+        # and v=7 and 14 at v=8.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 10)
         status = dispatch(["glue", "-m", "3", "-n", "4", "--vmax", "9",
                            "--out_dir", str(tmp_path)])
         assert status == 1
         rows = read_csv(tmp_path / "glue_frontier.csv")
         observed = [(row["v"], row["good_classes"]) for row in rows]
         assert observed == [("1", "1"), ("2", "2"), ("3", "3"),
-                            ("4", "6"), ("5", "9"), ("6", "15")]
+                            ("4", "6"), ("5", "9"), ("6", "15"), ("7", "9")]
         captured = capsys.readouterr()
         assert "threshold reached" not in captured.out
-        assert "error:" in captured.err and "v <= 6" in captured.err
+        assert ("error: canonical labelling at v=8 passed its budget of 10 "
+                "search nodes") in captured.err
 
     def test_budget_in_worker_keeps_partial_frontier(self, tmp_path, capsys,
                                                      monkeypatch):
         # Forked workers inherit the patched budget, so the BudgetError
-        # comes from whichever process of the walk's pool first labels an
-        # 11-vertex child below the split order.
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 10)
+        # comes from whichever process of the walk's pool first labels a
+        # 10-vertex child below the split order past 100 search nodes.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 100)
         status = dispatch(["glue", "-m", "3", "-n", "5", "--vmax", "11",
                            "--out_dir", str(tmp_path)])
         assert status == 1
         rows = read_csv(tmp_path / "glue_frontier.csv")
         assert [row["good_classes"] for row in rows] == [
-            "1", "2", "3", "7", "13", "32", "71", "179", "290", "313"]
-        assert "v <= 10" in capsys.readouterr().err
+            "1", "2", "3", "7", "13", "32", "71", "179", "290"]
+        assert "at v=10 passed its budget of 100" in capsys.readouterr().err
         # No worker is left, running or unreaped.
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -208,12 +223,12 @@ class TestGlue:
         assert re.fullmatch(
             r"glue: \(3,3\) to v=8, 0 classes at v=6 in \d+\.\d\d s\n",
             capsys.readouterr().err)
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 6)
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 10)
         assert dispatch(["glue", "-m", "3", "-n", "4", "--vmax", "9",
                          "--out_dir", str(tmp_path)]) == 1
         summary, error = capsys.readouterr().err.splitlines()
         assert re.fullmatch(
-            r"glue: \(3,4\) to v=9, 15 classes at v=6 in \d+\.\d\d s",
+            r"glue: \(3,4\) to v=9, 9 classes at v=7 in \d+\.\d\d s",
             summary)
         assert error.startswith("error: ")
 

@@ -674,6 +674,12 @@ class TestExistence:
         assert brute_force_ramsey(CliqueConstraint(3, 3), 10) == 6
         assert brute_force_ramsey(CliqueConstraint(3, 4), 10, mode="glue") == 9
 
+    def test_r35_is_14(self):
+        constraint = CliqueConstraint(3, 5)
+        assert brute_force_ramsey(constraint, 15) == 14
+        assert exists_good_coloring(13, constraint, "glue")
+        assert not exists_good_coloring(14, constraint, "glue")
+
     def test_unreached_returns_none(self):
         assert brute_force_ramsey(CliqueConstraint(3, 3), 5) is None
 
@@ -695,9 +701,14 @@ class TestCanonicalKey:
     def test_invariant_under_relabeling(self, pentagon, paley17):
         import random
         rng = random.Random(7)
-        for coloring in (pentagon, paley17):
-            if coloring.v > 12:
-                continue
+        # Paley(17) beside an 18th vertex with only blue edges: past v = 17
+        # a key column takes 3 bytes, not 2.
+        paley18 = coloring_from_red_edges(18, [
+            (i, j) for i, j in itertools.combinations(range(1, 18), 2)
+            if paley17.is_red(i, j)])
+        assert len(canonical_key(paley17)) == 2 + 16 * 3
+        assert len(canonical_key(paley18)) == 2 + 17 * 4 == 70
+        for coloring in (pentagon, paley17, paley18):
             key = canonical_key(coloring)
             for _ in range(30):
                 perm = list(range(1, coloring.v + 1))
@@ -753,8 +764,16 @@ class TestCanonicalKey:
                 by_key[key] = mask
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
-            canonical_key(EdgeColoring.from_mask(13, 0))
+        # The key search of a red cycle C_v grows about 3x per vertex: C16
+        # takes 34,144 nodes and keys, C17 passes the 65,536-node budget.
+        cycles = {v: coloring_from_red_edges(
+            v, [(i, i % v + 1) for i in range(1, v + 1)]) for v in (16, 17)}
+        assert len(canonical_key(cycles[16])) == 2 + 15 * 3
+        with pytest.raises(BudgetError) as info:
+            canonical_key(cycles[17])
+        assert str(info.value) == ("canonical labelling at v=17 passed its "
+                                   "budget of 65536 search nodes")
+        assert info.value.partial is None
 
 
 class TestReferenceKey:
@@ -863,19 +882,24 @@ class TestGlue:
         assert frontier_profile(CliqueConstraint(3, 4), 12) == (
             (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15), (7, 9),
             (8, 3), (9, 0))
-        # Known class counts of good colourings below R(3,5) and R(4,4).
-        known = {(3, 5): (1, 2, 3, 7, 13, 32, 71, 179),
+        # Known class counts of good colourings up to R(3,5) = 14 and
+        # below R(4,4).
+        known = {(3, 5): tuple(count for _, count in _R35),
                  (4, 4): (1, 2, 4, 9, 24, 84, 362, 2079)}
         for (m, n), counts in known.items():
             assert frontier_profile(CliqueConstraint(m, n), len(counts)) == \
                 tuple(enumerate(counts, start=1))
 
     def test_budget_error_carries_finished_profile(self, monkeypatch):
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 6)
+        # The largest key search of the (3,4) walk takes 10 nodes at v=6
+        # and v=7 and 14 at v=8, so a budget of 10 stops it at v=8.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 10)
         with pytest.raises(BudgetError) as info:
             frontier_profile(CliqueConstraint(3, 4), 9)
+        assert str(info.value) == ("canonical labelling at v=8 passed its "
+                                   "budget of 10 search nodes")
         assert info.value.partial == (
-            (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))
+            (1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15), (7, 9))
 
     @pytest.mark.parametrize("m,n,v_max", _ORACLE_WALKS)
     def test_walk_matches_per_assignment_oracle(self, m, n, v_max):
@@ -925,47 +949,38 @@ class TestGlue:
 
     @pytest.mark.parametrize("pooled", [False, True],
                              ids=["serial", "pooled"])
-    @pytest.mark.parametrize("m,n,v,route,partial", [
-        (3, 3, 4, "key", ((1, 1), (2, 2), (3, 2))),
-        (3, 4, 7, "key",
-         ((1, 1), (2, 2), (3, 3), (4, 6), (5, 9), (6, 15))),
-        (3, 5, 8, "key",
+    @pytest.mark.parametrize("m,n,v,budget,partial", [
+        (3, 3, 4, 1, ((1, 1), (2, 2), (3, 2))),
+        (3, 4, 7, 9, ((1, 1), (2, 2), (3, 3), (4, 6), (5, 9))),
+        (3, 5, 8, 10,
          ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71))),
-        (4, 4, 5, "degree", ((1, 1), (2, 2), (3, 4), (4, 9)))],
+        (4, 4, 5, 3, ((1, 1), (2, 2), (3, 4), (4, 9)))],
         ids=["r33_v4", "r34_v7", "r35_v8", "r44_v5"])
-    def test_counted_order_past_the_cap(self, m, n, v, route, partial,
+    def test_counted_order_past_the_cap(self, m, n, v, budget, partial,
                                         pooled, monkeypatch):
-        # With the cap one below the last order, the first child that
-        # passes tests 1 to 3 raises the key search's error, whether the
-        # key search, refinement or degree alone would take it.  Serially,
-        # depth-first from the single vertex, the first such child is taken
-        # by ``route``: the key search is never reached in the degree case,
-        # nor refinement.  No small walk meets a refinement shortcut first;
-        # test_shortcut_children raises through both shortcuts.
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", v - 1)
-        refined = []
+        # A node budget below some key search stops the walk at the first
+        # order that has one: the counted last order v, or for (3,4) the
+        # keyed order 6, whose largest search takes 10 nodes.  The error
+        # is the key search's, it carries the orders before, and a walk to
+        # the last of them finishes within the same budget.  Serially,
+        # depth-first from the single vertex, it is raised in the search
+        # that ``_children`` started.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", budget)
         claim_cores(monkeypatch, 2 if pooled else 1)
-        if not pooled:
-            refine = combinatorics._refined_colors
-
-            def recording(red, *args):
-                if len(red) == v:
-                    refined.append(red)
-                return refine(red, *args)
-
-            monkeypatch.setattr(combinatorics, "_refined_colors", recording)
+        constraint = CliqueConstraint(m, n)
         with pytest.raises(BudgetError) as info:
-            frontier_profile(CliqueConstraint(m, n), v)
-        assert str(info.value) == \
-            f"canonical_key supports v <= {v - 1}, got {v}"
+            frontier_profile(constraint, v)
+        assert str(info.value) == (
+            f"canonical labelling at v={len(partial) + 1} passed its "
+            f"budget of {budget} search nodes")
         assert info.value.partial == partial
+        assert frontier_profile(constraint, len(partial)) == partial
         if pooled:
             return
         frames = [frame.name for frame in
                   traceback.extract_tb(info.value.__cause__.__traceback__)]
-        assert frames[-1] == "_check_labelling_budget"
-        assert (frames[-2] == "_adjacency_key") == (route == "key")
-        assert bool(refined) == (route != "degree")
+        assert frames[-1] == "search"
+        assert frames[frames.index("_adjacency_key") - 1] == "_children"
 
     @pytest.mark.parametrize("red,route", [
         ((6, 9, 17, 18, 12), "degree"),
@@ -973,9 +988,9 @@ class TestGlue:
     def test_shortcut_children(self, red, route, monkeypatch):
         # Under (3,5), every child of these parents that passes tests 1 to
         # 3 is taken by ``route`` (two children each): they are counted
-        # with no key search, refinement leaves a new vertex alone in cell
-        # 0 only on the refinement route, and past the cap the first of
-        # them raises the key search's error.
+        # with no key search, so even a budget of 0 nodes counts them,
+        # while keying them passes that budget.  Refinement leaves a new
+        # vertex alone in cell 0 only on the refinement route.
         constraint = CliqueConstraint(3, 5)
         generators = set()
         combinatorics._adjacency_key(red, None, None, generators)
@@ -998,21 +1013,37 @@ class TestGlue:
 
         monkeypatch.setattr(combinatorics, "_adjacency_key", no_key)
         monkeypatch.setattr(combinatorics, "_refined_colors", recording)
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 0)
         assert combinatorics._children(parents, constraint,
                                        count=True) == [2]
         assert any(alone) == (route == "refinement")
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", v - 1)
+        monkeypatch.setattr(combinatorics, "_adjacency_key", key)
         with pytest.raises(BudgetError) as info:
-            combinatorics._children(parents, constraint, count=True)
-        assert str(info.value) == \
-            f"canonical_key supports v <= {v - 1}, got {v}"
+            combinatorics._children(parents, constraint)
+        assert str(info.value) == (f"canonical labelling at v={v} passed "
+                                   "its budget of 0 search nodes")
         assert info.value.partial is None
 
     def test_counted_order_past_the_cap_without_children(self, monkeypatch):
         # No child of the (3,4) v=8 classes passes tests 1 to 3, so the
-        # walk ends on a count of 0 past the cap, as it did when keyed.
-        monkeypatch.setattr(combinatorics, "_CANONICAL_V_BUDGET", 8)
+        # walk's last order runs no key search and ends on a count of 0,
+        # as it did when keyed.  Its largest search, at v=8, takes 14
+        # nodes: that budget finishes the walk, and 13 stops it at v=8.
+        key = combinatorics._adjacency_key
+        keyed = []
+
+        def recording(red, *args):
+            keyed.append(len(red))
+            return key(red, *args)
+
+        monkeypatch.setattr(combinatorics, "_adjacency_key", recording)
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 14)
         assert frontier_profile(CliqueConstraint(3, 4), 9)[-1] == (9, 0)
+        assert max(keyed) == 8
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 13)
+        with pytest.raises(BudgetError) as info:
+            frontier_profile(CliqueConstraint(3, 4), 9)
+        assert info.value.partial[-1] == (7, 9)
 
     @pytest.mark.parametrize("m,n,v,count,digest", [
         (3, 5, 10, 313, "b49c95bd265f020e876dacfacc550f20"
@@ -1287,6 +1318,7 @@ class TestAutomorphismPruning:
 
 _R35_V10 = ((1, 1), (2, 2), (3, 3), (4, 7), (5, 13), (6, 32), (7, 71),
             (8, 179), (9, 290), (10, 313))
+_R35 = _R35_V10 + ((11, 105), (12, 12), (13, 1), (14, 0))
 
 
 class TestParallelWalk:
@@ -1328,8 +1360,9 @@ class TestParallelWalk:
         return recorded
 
     @pytest.mark.parametrize("m,n,v_max,final,split", [
-        (3, 5, 12, (12, 12), 7), (4, 4, 8, (8, 2079), 6)],
-        ids=["r35_v12", "r44_v8"])
+        (3, 5, 12, (12, 12), 7), (3, 5, 14, (14, 0), 7),
+        (4, 4, 8, (8, 2079), 6)],
+        ids=["r35_v12", "r35_v14", "r44_v8"])
     def test_parallel_matches_serial(self, m, n, v_max, final, split,
                                      monkeypatch):
         # One core walks depth-first from the single vertex; two cores
@@ -1412,33 +1445,34 @@ class TestParallelWalk:
             monkeypatch.undo()
 
     def test_budget_error_in_worker(self, monkeypatch):
-        # Forked children inherit the patched labelling, so only the
-        # workers' chunks of the subtrees below v=7 fail, at v=11.  A
-        # chunk returns its error with its counts and its traceback text,
-        # and the walk raises it with that text chained as its cause.
+        # Forked children inherit the patched key search, which sets the
+        # node budget to 0 in a worker only, so only the workers' chunks of
+        # the subtrees below v=7 fail, at v=8.  A chunk returns its error
+        # with its counts and its traceback text, and the walk raises it
+        # with that text chained as its cause.
         main = os.getpid()
-        check = combinatorics._check_labelling_budget
+        key = combinatorics._adjacency_key
 
-        def budget_in_child(v):
-            if os.getpid() != main and v > 10:
-                raise BudgetError(
-                    f"labelling budget exceeded in child {os.getpid()}")
-            check(v)
+        def budget_in_child(red, *args):
+            if os.getpid() != main:
+                combinatorics._KEY_NODE_BUDGET = 0
+            return key(red, *args)
 
-        monkeypatch.setattr(combinatorics, "_check_labelling_budget",
-                            budget_in_child)
+        monkeypatch.setattr(combinatorics, "_adjacency_key", budget_in_child)
         claim_cores(monkeypatch, 2)
         with pytest.raises(BudgetError) as info:
             frontier_profile(CliqueConstraint(3, 5), 11)
-        assert info.value.partial == _R35_V10
+        assert info.value.partial == _R35_V10[:7]
         child_error = info.value.__cause__
         assert isinstance(child_error, BudgetError)
-        assert str(info.value) == str(child_error)
-        pid = re.fullmatch(r"labelling budget exceeded in child (\d+)",
-                           str(child_error))
-        assert pid and int(pid.group(1)) != main
+        assert str(info.value) == str(child_error) == (
+            "canonical labelling at v=8 passed its budget of 0 search nodes")
+        # Only an error that came back pickled has its traceback as text.
+        assert child_error.__traceback__ is None
+        assert str(child_error.__cause__).startswith("in a glue chunk:\n")
         assert "in _children" in str(child_error.__cause__)
         assert "budget_in_child" in str(child_error.__cause__)
+        assert "in search" in str(child_error.__cause__)
         self.assert_no_children()
 
     def test_unpicklable_results_in_worker(self, tmp_path, time_limit):
@@ -1502,24 +1536,31 @@ class TestParallelWalk:
         assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_budget_error_in_own_chunk(self, monkeypatch, time_limit):
-        # This process's chunks fail at v=11 while the workers' succeed:
-        # the partial profile survives and every worker is reaped.
+        # Three processes split the (3,5) walk at v=8, and the node budget
+        # is 0 for this process's searches below it, so this process's
+        # chunks fail at v=9 while the workers' succeed: the partial
+        # profile survives and every worker is reaped.
         main = os.getpid()
-        check = combinatorics._check_labelling_budget
+        key = combinatorics._adjacency_key
+        budget = combinatorics._KEY_NODE_BUDGET
 
-        def budget_here(v):
-            if os.getpid() == main and v > 10:
-                raise BudgetError("labelling budget exceeded here")
-            check(v)
+        def budget_here(red, *args):
+            here = os.getpid() == main and len(red) > 8
+            combinatorics._KEY_NODE_BUDGET = 0 if here else budget
+            return key(red, *args)
 
-        monkeypatch.setattr(combinatorics, "_check_labelling_budget",
-                            budget_here)
+        # Restores the budget after the test.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", budget)
+        monkeypatch.setattr(combinatorics, "_adjacency_key", budget_here)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(BudgetError) as info:
             frontier_profile(CliqueConstraint(3, 5), 11)
-        assert info.value.partial == _R35_V10
-        assert "exceeded here" in str(info.value.__cause__)
+        assert info.value.partial == _R35_V10[:8]
+        # Raised here, so the error keeps its own traceback.
+        assert info.value.__cause__.__traceback__ is not None
+        assert str(info.value) == ("canonical labelling at v=9 passed its "
+                                   "budget of 0 search nodes")
         self.assert_no_children()
         assert len(os.listdir("/proc/self/fd")) == fds
 
@@ -1772,9 +1813,13 @@ class TestCostsAndRanks:
         assert survivor_rank(constraint, 6, 24) == 0
         assert survivor_rank(constraint, 4, 3) == 2
 
-    def test_survivor_rank_budget(self):
-        with pytest.raises(BudgetError):
+    def test_survivor_rank_budget(self, monkeypatch):
+        # The (5,5) walk is far too long to finish at v = 13; a budget of 1
+        # node stops it at v = 4, whose largest key search takes 3.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 1)
+        with pytest.raises(BudgetError) as info:
             survivor_rank(CliqueConstraint(5, 5), 13, 24)
+        assert info.value.partial == ((1, 1), (2, 2), (3, 4))
         with pytest.raises(ValueError):
             survivor_rank(CliqueConstraint(3, 3), 5, 1)
 
@@ -1782,15 +1827,20 @@ class TestCostsAndRanks:
         # Only the all-blue colouring avoids a red edge, and it dies at 13.
         assert survivor_rank(CliqueConstraint(2, 13), 13, 24) == 0
 
-    def test_survivor_rank_budget_carries_walk_partial(self):
+    def test_survivor_rank_budget_carries_walk_partial(self, monkeypatch):
+        constraint = CliqueConstraint(3, 5)
+        assert survivor_rank(constraint, 13, 24) == 1
+        assert survivor_rank(constraint, 14, 24) == 0
+        # The largest key search at v = 10 takes 212 nodes.
+        monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", 100)
         with pytest.raises(BudgetError) as info:
-            survivor_rank(CliqueConstraint(3, 5), 13, 24)
-        assert info.value.partial[-1] == (12, 12)
+            survivor_rank(constraint, 13, 24)
+        assert info.value.partial == _R35_V10[:-1]
 
     @pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (3, 5), (4, 4), (5, 5)])
     def test_disjoint_red_cliques_are_good(self, m, n):
-        # The construction survivor_rank relies on to refuse up front:
-        # n - 1 red K_{m-1}, all edges between them blue.
+        # n - 1 red K_{m-1}, all edges between them blue: a good colouring
+        # of order (m - 1)(n - 1), so no walk of (m,n) empties before it.
         v = (m - 1) * (n - 1)
         edges = [(i, j) for i in range(1, v + 1) for j in range(i + 1, v + 1)
                  if (i - 1) // (m - 1) == (j - 1) // (m - 1)]
