@@ -28,8 +28,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import _pool
-from .combinatorics import (_ENUM_EDGE_BUDGET, CliqueConstraint,
-                            _enumerate_exists)
+from .combinatorics import BudgetError, CliqueConstraint, exists_good_coloring
 
 __all__ = [
     "CnfInstance",
@@ -322,15 +321,14 @@ def write_map(N: int, sink: TextIO) -> int:
 def check_small(N: int, m: int, n: int) -> bool:
     """Exhaustive satisfiability of the instance for small N.
 
-    Runs the combinatorics module's labelled existence sweep, which adds
-    one vertex at a time through the glue walk's assignment filter and
+    Runs the labelled existence sweep of ``exists_good_coloring``, which
+    adds one vertex at a time through the glue walk's assignment filter and
     answers whether some edge assignment satisfies all clauses: by
     construction the same question as the existence of a colouring of K_N
-    with no red K_m and no blue K_n.  Requires ``C(N, 2) <= 28``.
+    with no red K_m and no blue K_n.  Raises ValueError past C(N, 2) = 28.
     """
-    instance = CnfInstance.for_problem(N, m, n)
-    if instance.var_count > _ENUM_EDGE_BUDGET:
-        raise ValueError(
-            f"check_small requires C(N,2) <= {_ENUM_EDGE_BUDGET}, "
-            f"got {instance.var_count}")
-    return _enumerate_exists(N, CliqueConstraint(m, n))
+    CnfInstance.for_problem(N, m, n)  # the writer's argument checks
+    try:
+        return exists_good_coloring(N, CliqueConstraint(m, n), "enumerate")
+    except BudgetError as exc:
+        raise ValueError(f"check_small: {exc}") from exc

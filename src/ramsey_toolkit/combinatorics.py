@@ -20,12 +20,12 @@ Only the class counts are wanted, so the walk holds no whole order past
 a split order: each class of that order has its subtree walked
 depth-first, one parent at a time, and the walk's last order is only
 counted: a child whose new vertex is alone in the first refined colour
-cell is counted without a key.  With more than one usable core, one call
-of ``_pool.run`` forks a worker per core after the first, and the workers
-and this process claim chunks of the split order's classes from one shared
-pipe until none is left.  Each chunk returns one count vector and the
-vectors are added, so the result does not depend on the number of cores or
-on who claimed which chunk.  Canonical labelling
+cell is counted without a key.  One call of ``_pool.run`` counts the
+split order's subtrees, forking a worker per usable core after the
+first; the workers and this process claim chunks of that order from one
+shared pipe until none is left.  Each chunk returns one count vector and
+the vectors are added, so the result does not depend on the number of
+cores or on who claimed which chunk.  Canonical labelling
 refines red-degree colours by counting red neighbours per colour cell,
 then searches for the least ordering one colour cell at a time, branching
 only among tied cell members.  The search prunes by the automorphisms it
@@ -206,29 +206,37 @@ def has_forbidden_clique(coloring: EdgeColoring,
     return _has_forbidden(coloring.red_neighbors(), constraint)
 
 
-def _enumerate_exists(v: int, constraint: CliqueConstraint) -> bool:
-    """Depth-first sweep of the labelled colourings of K_v, one vertex at a
-    time.
+def _sweep_top(v: int) -> int:
+    """min(v, the largest order whose edges fit the labelled sweep's cap)"""
+    return min(v, (1 + math.isqrt(1 + 8 * _ENUM_EDGE_BUDGET)) // 2)
 
-    Colourings are held as the glue walk holds them, as red-adjacency
-    masks.  Starting from the single vertex, each good colouring is
-    extended by every assignment :func:`_good_assignments` lets through,
-    so only cliques through the new vertex are tested, and the sweep
-    returns True at the first colouring of v vertices.  It is labelled and
-    deduplicates nothing, so it does not lean on the walk's degree, orbit
-    and key tests, and ``brute_force_ramsey`` checks those against it.
+
+def _sweep(v: int, constraint: CliqueConstraint) -> int:
+    """Largest order <= v that has a good colouring, 0 when none.
+
+    Depth-first from the single vertex, each labelled colouring (as
+    red-adjacency masks) is extended by every assignment
+    :func:`_good_assignments` lets through, so only cliques through the new
+    vertex are tested, and the sweep stops at the first colouring of v
+    vertices.  It deduplicates nothing, so it does not lean on the walk's
+    degree, orbit and key tests, and ``brute_force_ramsey`` checks those
+    against it.  Past the edge cap it raises :class:`BudgetError` at once.
     """
-    e = v * (v - 1) // 2
-    if e > _ENUM_EDGE_BUDGET:
+    top = _sweep_top(v)
+    if top < v:
         raise BudgetError(
-            f"labelled sweep at v={v} has {e} edges, past the "
-            f"{_ENUM_EDGE_BUDGET}-edge cap (v <= 8)", partial=None)
+            f"labelled sweep at v={v} has {v * (v - 1) // 2} edges, past "
+            f"the {top * (top - 1) // 2}-edge cap (v <= {top})", partial=None)
+    reached = {0}
 
     def sweep(red) -> bool:
+        reached.add(len(red))
         return len(red) == v or any(
             sweep(_extend(red, a)) for a in _good_assignments(red, constraint))
 
-    return not _has_forbidden((0,), constraint) and sweep((0,))
+    if not _has_forbidden((0,), constraint):
+        sweep((0,))
+    return max(reached)
 
 
 def exists_good_coloring(v: int, constraint: CliqueConstraint,
@@ -245,9 +253,8 @@ def exists_good_coloring(v: int, constraint: CliqueConstraint,
         raise ValueError(f"v must be >= 1, got {v}")
     if mode not in ("auto", "enumerate", "glue"):
         raise ValueError(f"unknown mode {mode!r}")
-    e = v * (v - 1) // 2
-    if mode == "enumerate" or (mode == "auto" and e <= _ENUM_EDGE_BUDGET):
-        return _enumerate_exists(v, constraint)
+    if mode == "enumerate" or (mode == "auto" and _sweep_top(v) == v):
+        return _sweep(v, constraint) == v
     return _walk(constraint, v)[-1][1] > 0
 
 
@@ -474,25 +481,24 @@ def _walk(constraint: CliqueConstraint,
     """Count the good canonical classes of each order up to ``v_max``.
 
     Returns the ``(v, count)`` profile, stopping after the first zero.
-    With one process allowed (:func:`allowed_processes`), the whole tree
-    is walked depth-first by :func:`_counts_below` from the single vertex.
-    Otherwise orders are keyed breadth-first here up to a split order: one
-    order below the first with ``_CHUNKS_PER_PROCESS`` parents per
-    process, or that first order itself when fewer than two orders would
-    remain below the deeper one, or the last order but one when no order
-    is that big.  One :func:`_pool.run` call then counts the split order's
-    subtrees in chunks, and the chunks' count vectors are added, so the
-    profile does not depend on the number of cores or on who claimed which
-    chunk.  When a key search passes the labelling budget, the
-    :class:`BudgetError` carries the profile of the orders before the first
-    that failed, and is raised from the first chunk's error at that order,
-    with a worker's traceback chained to that error as its cause.
+    Orders are keyed breadth-first here up to a split order: one order
+    below the first with ``_CHUNKS_PER_PROCESS`` parents per process
+    (:func:`allowed_processes`), or that first order itself when fewer than
+    two orders would remain below the deeper one, or the last order but
+    one when no order is that big.  One :func:`_pool.run` call then counts
+    the split order's subtrees with :func:`_counts_below` in chunks, and
+    the chunks' count vectors are added, so the profile does not depend on
+    the number of cores or on who claimed which chunk.  When a key search
+    passes the labelling budget, the :class:`BudgetError` carries the
+    profile of the orders before the first that failed, and is raised from
+    the first chunk's error at that order, with a worker's traceback
+    chained to that error as its cause.
     """
     parents = [] if _has_forbidden((0,), constraint) else [((0,), ())]
     profile = [(1, len(parents))]
     processes = allowed_processes()
     big = _pool._CHUNKS_PER_PROCESS * processes
-    while processes > 1 and parents and len(profile) + 1 < v_max:
+    while parents and len(profile) + 1 < v_max:
         first_big = len(parents) >= big
         if first_big and len(profile) + 3 > v_max:
             break
@@ -800,11 +806,11 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
                        mode: str = "auto") -> int | None:
     """Smallest v <= v_max admitting no good colouring, or None.
 
-    ``mode="enumerate"`` insists on the labelled sweep at every order and
-    raises :class:`BudgetError` (carrying the largest verified order) once
-    the edge budget is exceeded.  The default walks the glue-and-prune
-    frontier and checks every order inside the edge budget against the
-    sweep.
+    ``mode="enumerate"`` answers every order from one labelled sweep to
+    min(v_max, 8) and raises :class:`BudgetError` (carrying the largest
+    verified order) when v_max > 8 and that sweep reaches 8.  The default
+    walks the glue-and-prune frontier and checks its orders up to 8
+    against one sweep.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")
@@ -812,22 +818,23 @@ def brute_force_ramsey(constraint: CliqueConstraint, v_max: int,
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode == "enumerate":
-        for v in range(1, v_max + 1):
-            try:
-                exists = _enumerate_exists(v, constraint)
-            except BudgetError as exc:
+        try:
+            reached = _sweep(v_max, constraint)
+        except BudgetError as exc:
+            top = _sweep_top(v_max)
+            reached = _sweep(top, constraint)
+            if reached == top:
                 raise BudgetError(
-                    f"enumeration budget exceeded at v={v}; orders up to "
-                    f"{v - 1} admit good colourings", partial=v - 1) from exc
-            if not exists:
-                return v
-        return None
+                    f"enumeration budget exceeded at v={top + 1}; orders up "
+                    f"to {top} admit good colourings", partial=top) from exc
+        return reached + 1 if reached < v_max else None
 
     profile = _walk(constraint, v_max)
     if mode == "auto":
-        for v, count in profile[1:]:
-            if (v * (v - 1) // 2 <= _ENUM_EDGE_BUDGET
-                    and _enumerate_exists(v, constraint) != (count > 0)):
+        top = _sweep_top(profile[-1][0])
+        reached = _sweep(top, constraint)
+        for v, count in profile:
+            if v <= top and (v <= reached) != (count > 0):
                 raise RuntimeError(
                     f"frontier and enumeration disagree at v={v}")
     v, count = profile[-1]
@@ -845,7 +852,9 @@ def frontier_profile(constraint: CliqueConstraint,
     is alone in the first refined colour cell passes the canonical
     augmentation test without a key search (see :func:`_children`).  When
     one key search passes the labelling budget, :class:`BudgetError`
-    carries the profile of the orders already finished.
+    carries the profile of the orders already finished.  Nothing bounds
+    the walk's total work, only each key search: the (5,5) walk to v = 13
+    ran past 120 s on a 2-core x86-64 VM.
     """
     if v_max < 1:
         raise ValueError(f"v_max must be >= 1, got {v_max}")

@@ -151,18 +151,10 @@ def block_encode_rank1(u, v) -> BlockEncoding:
 
     Both vectors must be unit; dimensions that are not a power of two are
     zero-padded, which leaves the encoded block unchanged on the original
-    coordinates.
+    coordinates.  This is :func:`lcu_block_encode` of the one term
+    ``(1, u, v)``.
     """
-    uu = _as_state(u, "u")
-    vv = _as_state(v, "v")
-    if uu.size != vv.size:
-        raise ValueError(
-            f"u and v must have equal dimension, got {uu.size} and {vv.size}")
-    u_pad = _pad_to_pow2(uu)
-    v_pad = _pad_to_pow2(vv)
-    w = _rank1_gadget(u_pad, v_pad)
-    return BlockEncoding(unitary=w, ancilla_count=1, alpha0=2.0,
-                         data_dim=u_pad.size, source_dim=uu.size)
+    return lcu_block_encode([(1.0, u, v)])
 
 
 def lcu_block_encode(terms) -> BlockEncoding:

@@ -595,6 +595,7 @@ class TestExistence:
             brute_force_ramsey(CliqueConstraint(3, 4), 9, "enumerate")
         assert str(info.value) == ("enumeration budget exceeded at v=9; "
                                    "orders up to 8 admit good colourings")
+        assert info.value.partial == 8
         assert str(info.value.__cause__).startswith("labelled sweep at v=9")
 
     @pytest.mark.parametrize("v", range(1, 8))
@@ -602,9 +603,14 @@ class TestExistence:
         for m, n in itertools.product(range(1, 6), repeat=2):
             constraint = CliqueConstraint(m, n)
             expected = _reference_exists(v, constraint)
-            assert combinatorics._enumerate_exists(v, constraint) == expected
+            reached = combinatorics._sweep(v, constraint)
+            assert (reached == v) == expected
             if 1 in (m, n):
                 assert expected is False
+            # Short of v, the sweep reached the largest good order.
+            if 0 < reached < v:
+                assert _reference_exists(reached, constraint)
+                assert not _reference_exists(reached + 1, constraint)
 
     @pytest.mark.parametrize("bits", [128, 256, 1024])
     def test_small_pieces(self, paley17, bits):
@@ -629,8 +635,8 @@ class TestExistence:
     def test_one_filter_call_per_labelled_colouring(self, monkeypatch):
         for m, n, ramsey in ((3, 3, 6), (3, 4, 9), (3, 5, 14), (4, 4, 18)):
             for v in range(5, 9):
-                assert combinatorics._enumerate_exists(
-                    v, CliqueConstraint(m, n)) == (v < ramsey)
+                assert combinatorics._sweep(
+                    v, CliqueConstraint(m, n)) == min(v, ramsey - 1)
         # An UNSAT sweep extends every labelled good colouring of the orders
         # below the first empty one, so the (8; 3,3) sweep filters each
         # (3,3)-good colouring of k = 1..5 vertices exactly once.
@@ -651,9 +657,34 @@ class TestExistence:
             return good_assignments(red, *rest)
 
         monkeypatch.setattr(combinatorics, "_good_assignments", recording)
-        assert not combinatorics._enumerate_exists(8, constraint)
+        assert combinatorics._sweep(8, constraint) == 5
         assert sorted(filtered) == sorted(good)
         assert len(set(filtered)) == len(filtered) == 39
+
+    @pytest.mark.parametrize("m,n,v_max,mode,expected,calls", [
+        (3, 3, 8, "enumerate", 6, 39), (2, 8, 8, "enumerate", 8, 7),
+        (3, 3, 10, "auto", 6, 48)],
+        ids=["r33_enumerate", "r28_enumerate", "r33_auto"])
+    def test_one_sweep_per_call(self, m, n, v_max, mode, expected, calls,
+                                monkeypatch):
+        # brute_force_ramsey answers every order from one sweep: the (3,3)
+        # sweep to 8 filters the 39 labelled good colourings of orders 1
+        # to 5 once each, and the (2,8) sweep the all-blue colouring of
+        # each order 1 to 7.  The auto mode adds one filter call per
+        # parent class of the walk (1, 2, 2, 3 and 1 at orders 1 to 5) to
+        # the 39 of one sweep to its last order, 6.
+        claim_cores(monkeypatch, 1)
+        good_assignments = combinatorics._good_assignments
+        filtered = []
+
+        def recording(red, *rest):
+            filtered.append(red)
+            return good_assignments(red, *rest)
+
+        monkeypatch.setattr(combinatorics, "_good_assignments", recording)
+        assert brute_force_ramsey(CliqueConstraint(m, n), v_max,
+                                  mode) == expected
+        assert len(filtered) == calls
 
     def test_known_values_through_the_sweep(self):
         for k in range(2, 9):
@@ -918,9 +949,9 @@ class TestGlue:
     @pytest.mark.parametrize("m,n,v_max", _ORACLE_WALKS)
     def test_depth_first_matches_breadth_first(self, m, n, v_max, pooled,
                                                monkeypatch):
-        # The walk counts every order below its split depth-first, from the
-        # single vertex on one core, and on two from the split order on,
-        # with the workers' chunks; its profile is the breadth-first one.
+        # The walk counts every order below its split depth-first, in one
+        # pool call on one core or two, and on two with the workers'
+        # chunks; its profile is the breadth-first one.
         constraint = CliqueConstraint(m, n)
         expected = _oracle_profile(constraint, v_max)
         forks = claim_cores(monkeypatch, 2 if pooled else 1)
@@ -962,9 +993,9 @@ class TestGlue:
         # order that has one: the counted last order v, or for (3,4) the
         # keyed order 6, whose largest search takes 10 nodes.  The error
         # is the key search's, it carries the orders before, and a walk to
-        # the last of them finishes within the same budget.  Serially,
-        # depth-first from the single vertex, it is raised in the search
-        # that ``_children`` started.
+        # the last of them finishes within the same budget.  Serially, with
+        # no worker between, it is raised in the search that ``_children``
+        # started.
         monkeypatch.setattr(combinatorics, "_KEY_NODE_BUDGET", budget)
         claim_cores(monkeypatch, 2 if pooled else 1)
         constraint = CliqueConstraint(m, n)
@@ -1365,11 +1396,11 @@ class TestParallelWalk:
         ids=["r35_v12", "r35_v14", "r44_v8"])
     def test_parallel_matches_serial(self, m, n, v_max, final, split,
                                      monkeypatch):
-        # One core walks depth-first from the single vertex; two cores
-        # split one order below the first of 32 parents, or at it when
-        # fewer than two orders would remain below.  The chunks' count
-        # vectors are those of the same chunks walked here, and they add
-        # up to the serial profile.
+        # Two cores split one order below the first of 32 parents, or at
+        # it when fewer than two orders would remain below (one core keys
+        # to the same rule with 16).  The chunks' count vectors are those
+        # of the same chunks walked here, and they add up to the one-core
+        # profile.
         constraint = CliqueConstraint(m, n)
         claim_cores(monkeypatch, 1)
         serial = frontier_profile(constraint, v_max)
@@ -1392,6 +1423,28 @@ class TestParallelWalk:
             {(v_max + 1, None, None)}
         assert [sum(column) for column in zip(*expected)] == \
             [count for _, count in serial[split:]]
+
+    @pytest.mark.parametrize("m,n,v_max,split", [
+        (3, 3, 6, 5), (3, 5, 12, 7), (4, 4, 8, 6)],
+        ids=["r33_v6", "r35_v12", "r44_v8"])
+    def test_one_core_counts_the_split_order_inline(self, m, n, v_max, split,
+                                                    monkeypatch):
+        # One core keys orders to the same split rule as more, with 16
+        # parents: one below the first order of 16, or the last order but
+        # one when none is that big.  Then one pool call of one process
+        # counts the split order's subtrees here, forking nothing.
+        constraint = CliqueConstraint(m, n)
+        forks = claim_cores(monkeypatch, 1)
+        recorded = self.record_runs(monkeypatch)
+        assert frontier_profile(constraint, v_max) == \
+            _oracle_profile(constraint, v_max)
+        (parents, processes, chunks), = recorded
+        assert processes == 1 and forks == []
+        assert sorted(parents) == sorted(
+            (red, generators) for _, red, generators in
+            _breadth_first(constraint, split)[-1])
+        assert chunks == combinatorics._counts_below(parents, constraint,
+                                                     v_max)
 
     @pytest.mark.parametrize("processes", [3, 4])
     def test_pools_larger_than_the_core_count(self, processes, monkeypatch,

@@ -68,10 +68,11 @@ class TestLcu:
     def test_single_term_reduces_to_rank1_gadget(self):
         rng = np.random.default_rng(4)
         u, v = random_unit(rng, 4), random_unit(rng, 4)
+        # block_encode_rank1 is this one-term call, so the gadget itself
+        # is the reference.
         single = lcu_block_encode([(1.0, u, v)])
-        plain = block_encode_rank1(u, v)
-        assert np.abs(single.unitary - plain.unitary).max() == 0.0
-        assert single.alpha0 == plain.alpha0
+        assert np.abs(single.unitary - qsim._rank1_gadget(u, v)).max() == 0.0
+        assert single.alpha0 == block_encode_rank1(u, v).alpha0 == 2.0
 
     def test_padding_slots_carry_identity_gadgets(self):
         # Three terms force a 4-slot selector; the result must still be
