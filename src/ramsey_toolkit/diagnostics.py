@@ -14,22 +14,21 @@ compact WY factor I - W^T Y (Schreiber & Van Loan 1989), so an order costs
 about k/d + d stacked matrix products instead of k rank-1 steps.
 
 All randomness flows from explicit integer seeds; records are pure
-functions of (configuration, n), so a sweep computes its orders on a pool
-of forked worker processes when it may fork.
+functions of (configuration, n), computed one order after another in the
+calling process.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import spectral
-from . import _pool
 
 __all__ = [
     "MissProbabilityModel",
@@ -552,10 +551,15 @@ def _record_or_failure(config: DiagnosticsConfig, n: int,
             error=f"{type(exc).__name__}: {exc}")
 
 
-def _records(orders, config: DiagnosticsConfig,
-             embedding) -> list[DiagnosticsRecord]:
-    """:func:`_record_or_failure` of each of ``orders``, in turn."""
-    return [_record_or_failure(config, n, embedding) for n in orders]
+def _order(n) -> int:
+    """``n`` as an int if it is an integer of at least 1, else ValueError."""
+    try:
+        order = operator.index(n)
+    except TypeError:
+        raise ValueError(f"orders must be integers >= 1, got {n!r}") from None
+    if order < 1:
+        raise ValueError(f"orders must be integers >= 1, got {n!r}")
+    return order
 
 
 def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
@@ -564,36 +568,32 @@ def run_diagnostics(config: DiagnosticsConfig, n_values: Sequence[int],
 
     ``embedding`` is any object with a ``batch(d, k, seed, n)`` method that
     returns a :class:`DirectionBatch`; None means :class:`SeedSchedule`.
-    Orders are deduplicated and returned ascending.  A numerical failure
-    at one order is captured on its record (``error`` field, NaN witnesses)
-    without aborting the sweep.  Records are judged by
-    :func:`decide_critical` with its default gates.  Criticality needs both
-    neighbours, so the first and last records always stay indeterminate.
+    Orders must be integers (``int`` or numpy integers) of at least 1; any
+    other order raises ``ValueError`` naming it.  Orders are deduplicated
+    and returned ascending.  A numerical failure at one order is captured
+    on its record (``error`` field, NaN witnesses) without aborting the
+    sweep.  Records are judged by :func:`decide_critical` with its default
+    gates.  Criticality needs both neighbours, so the first and last
+    records always stay indeterminate.
 
-    Each record is a pure function of (configuration, n), so with two or
-    more orders the sweep forks up to one worker per usable core after the
-    first (:func:`_pool.run`), and the workers and this process claim
-    orders until none is left; the workers are killed and reaped however
-    the sweep ends.  So ``embedding.batch`` may run in a forked worker, and
-    an embedding must be a pure function of its arguments, as
-    :class:`SeedSchedule` and :class:`ConstraintRestricted` are: state it
-    changes in a worker is not seen here.  An exception other than
-    ``LinAlgError`` raised in a worker is raised here with the worker's
-    traceback as its cause.  When :func:`allowed_processes` forbids a fork
-    (one core, no ``fork``, or a second thread alive) the orders run here,
-    one after another; the records are the same either way.
+    The orders are computed one after another in this process.  Each takes
+    about 5 ms at d=24, k=400 with 10 seeds, too short for a forked worker
+    to pay off: the child loads ``numpy.random`` and makes its first LAPACK
+    calls again, and on a 2-core x86-64 VM two processes working at once
+    each ran at about half speed for bursts under about 200 ms.  There,
+    with ``OPENBLAS_NUM_THREADS=1``, ``dispatch(["diag", ...])`` over the
+    orders 43-46 took these medians of 7 fresh processes, with a pool of
+    one worker per extra core against without: 49 against 25 ms at k=100,
+    60 against 38 ms at k=400 and 146 against 120 ms at k=2000.
     """
     if embedding is None:
         embedding = SeedSchedule()
     elif not hasattr(embedding, "batch"):
         raise ValueError("embedding must provide a batch(d, k, seed, n) method")
-    orders = sorted(set(int(n) for n in n_values))
+    orders = sorted(set(_order(n) for n in n_values))
     if not orders:
         raise ValueError("n_values must be non-empty")
-    work = partial(_records, config=config, embedding=embedding)
-    processes = min(len(orders), _pool.allowed_processes())
-    records = sorted(_pool.run(work, orders, processes, "diag", "records"),
-                     key=lambda record: record.n)
+    records = [_record_or_failure(config, n, embedding) for n in orders]
     judged = []
     for idx, record in enumerate(records):
         before = records[idx - 1] if idx > 0 else None
@@ -616,6 +616,16 @@ def decide_critical(record: DiagnosticsRecord,
     extremal against both neighbours, and (c) the accumulator norm is
     strictly locally extremal.  Missing neighbours or a failed record make
     the verdict indeterminate (None).
+
+    Gate (a) does not bind at k >> d: there the smallest accumulator
+    eigenvalue, which sets the witness, grows almost as fast as the
+    mean-field k/d, so the witness lies far below the midpoint (at d=24,
+    k=400 about -175 against -144) and the verdict rests on (b) and (c)
+    alone.  At d=24 with the default alpha grid and seeds, over the orders
+    43-46, gate (a) failed on all four records for every k <= 217, on some
+    for 218 <= k <= 237, and on none for 238 <= k <= 600.  A mean-field
+    estimate, (sqrt(k) - sqrt(d))^2 / d for that eigenvalue against half
+    of k/d, puts the edge higher, near 12 d ~ 280.
     """
     if record.error is not None:
         return None

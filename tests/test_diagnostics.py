@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import errno
 import math
-import os
 import re
-import signal
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -490,6 +486,21 @@ class TestRunDiagnostics:
         with pytest.raises(ValueError, match="batch"):
             run_diagnostics(DiagnosticsConfig(), (4,), embedding)
 
+    @pytest.mark.parametrize("orders,bad", [
+        ((4.7, 5), "4.7"), ((-3, 5), "-3"), ((0, 5), "0"),
+        ((5, "6"), "'6'")], ids=["fraction", "negative", "zero", "string"])
+    def test_orders_must_be_positive_integers(self, orders, bad):
+        # 4.7 must not be swept as order 4, nor -3 reach numpy's seeding.
+        with pytest.raises(ValueError, match=f"got {re.escape(bad)}$"):
+            run_diagnostics(DiagnosticsConfig(d=8, k=20, seeds=(3,)), orders)
+
+    def test_numpy_integer_orders(self):
+        config = DiagnosticsConfig(d=8, k=20, alpha_grid=(1.0, 3.0),
+                                   seeds=(3,))
+        records = run_diagnostics(config, np.array([6, 4, 5], dtype=np.int64))
+        assert [type(r.n) for r in records] == [int] * 3
+        assert records == run_diagnostics(config, (4, 5, 6))
+
     def test_config_fields(self):
         assert [f.name for f in dataclasses.fields(DiagnosticsConfig)] == [
             "d", "k", "alpha_grid", "seeds"]
@@ -612,48 +623,38 @@ class TestControlRecord:
         assert record.log10_tr_exp >= -1e-9
 
 
-class SweepFailure(Exception):
-    """Raised by an embedding in a sweep worker; importable, so it pickles."""
-
-
-class TestPooledSweep:
-    """With two or more orders, run_diagnostics forks a pool of workers
-    that claim orders with this process; the records must not show it, and
-    no worker or pipe may outlive the sweep."""
+class TestInProcessSweep:
+    """run_diagnostics computes its orders one after another in this
+    process, on any number of usable cores: it forks no worker and never
+    calls the worker pool."""
 
     CONFIG = DiagnosticsConfig(d=12, k=30, alpha_grid=(1.0, 2.5, 6.0),
                                seeds=(3, 5, 8))
-
-    @pytest.fixture(autouse=True)
-    def clean(self):
-        # A pool that deadlocks fails the test instead of hanging the run,
-        # and after every path no child is left and no pipe stays open.
-        def expire(signum, frame):
-            raise TimeoutError("pooled sweep still running after 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        fds = len(os.listdir("/proc/self/fd"))
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(os.listdir("/proc/self/fd")) == fds
 
     @staticmethod
     def cells(records) -> list:
         # repr, so that the NaN witnesses of a failed record compare equal.
         return [(repr(r), repr(r.trace_grid)) for r in records]
 
-    @pytest.mark.parametrize("processes", [2, 3])
+    @staticmethod
+    def count_pool_runs(monkeypatch) -> list:
+        calls = []
+        run = _pool.run
+
+        def counting(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(_pool, "run", counting)
+        return calls
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("orders", [(5,), (4, 6), (6, 4, 5), (4, 5, 6, 7, 8)])
     @pytest.mark.parametrize("embedding", [
         SeedSchedule(),
         ConstraintRestricted({4: 2, 5: 3, 6: 1, 7: 0, 8: 0}),
         "fails-at-5"], ids=["schedule", "restricted", "fails-at-5"])
-    def test_pooled_matches_serial(self, embedding, orders, processes,
-                                   monkeypatch):
+    def test_matches_one_core(self, embedding, orders, cores, monkeypatch):
         fails = embedding == "fails-at-5"
         if fails:
             class FailsAtFive(SeedSchedule):
@@ -664,132 +665,31 @@ class TestPooledSweep:
 
             embedding = FailsAtFive()
         claim_cores(monkeypatch, 1)
-        serial = run_diagnostics(self.CONFIG, orders, embedding)
-        forks = claim_cores(monkeypatch, processes)
-        pooled = run_diagnostics(self.CONFIG, orders, embedding)
-        assert len(forks) == min(processes, len(orders)) - 1
-        assert [r.n for r in pooled] == sorted(orders)
-        assert self.cells(pooled) == self.cells(serial)
-        assert [r.n for r in pooled if r.error is not None] == \
+        one_core = run_diagnostics(self.CONFIG, orders, embedding)
+        forks = claim_cores(monkeypatch, cores)
+        runs = self.count_pool_runs(monkeypatch)
+        records = run_diagnostics(self.CONFIG, orders, embedding)
+        assert forks == [] and runs == []
+        assert [r.n for r in records] == sorted(orders)
+        assert self.cells(records) == self.cells(one_core)
+        assert [r.n for r in records if r.error is not None] == \
             ([5] if fails and 5 in orders else [])
 
-    @pytest.mark.parametrize("case", [
-        "one-core", "thread", "fork-1", "pipe-1", "pipe-2"])
-    def test_serial_without_fork(self, case, monkeypatch):
-        # One usable core, a live second thread, or a refused os.fork or
-        # os.pipe (the token pipe, then a worker's first pipe): the sweep
-        # runs here, with the same records.
-        orders = (4, 5, 6)
-        claim_cores(monkeypatch, 1)
-        serial = run_diagnostics(self.CONFIG, orders)
-        forks = claim_cores(monkeypatch, 1 if case == "one-core" else 2)
-        calls = []
-        if case != "one-core":
-            call, failing = ("fork", 1) if case == "thread" else \
-                (case[:-2], int(case[-1]))
-            real = getattr(os, call)
+    def test_every_batch_is_drawn_here(self, monkeypatch):
+        # State that an embedding changes is seen by the caller: every
+        # batch call lands in this process.
+        class CountsBatches(SeedSchedule):
+            def __init__(self):
+                self.calls = []
 
-            def refusing():
-                calls.append(None)
-                if len(calls) == failing:
-                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-                return real()
+            def batch(self, d, k, seed, n):
+                self.calls.append((seed, n))
+                return super().batch(d, k, seed, n)
 
-            monkeypatch.setattr(os, call, refusing)
-        release = threading.Event()
-        helper = threading.Thread(target=release.wait)
-        if case == "thread":
-            helper.start()
-        try:
-            records = run_diagnostics(self.CONFIG, orders)
-        finally:
-            release.set()
-            if case == "thread":
-                helper.join(timeout=60)
-        assert not helper.is_alive()
+        embedding = CountsBatches()
+        forks = claim_cores(monkeypatch, 2)
+        orders = (4, 5, 6, 7)
+        run_diagnostics(self.CONFIG, orders, embedding)
         assert forks == []
-        assert len(calls) == {"one-core": 0, "thread": 0, "fork-1": 1,
-                              "pipe-1": 1, "pipe-2": 2}[case]
-        assert self.cells(records) == self.cells(serial)
-
-    def test_worker_error_is_raised_with_its_type(self, monkeypatch,
-                                                  tmp_path):
-        # The worker's first order raises; this process waits in its own
-        # first order until the worker has claimed one.
-        main = os.getpid()
-        started = tmp_path / "started"
-
-        class RaisesInWorker(SeedSchedule):
-            def batch(self, d, k, seed, n):
-                if os.getpid() != main:
-                    started.touch()
-                    raise SweepFailure(f"order {n} failed in a worker")
-                deadline = time.monotonic() + 30
-                while not started.exists() and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                return super().batch(d, k, seed, n)
-
-        claim_cores(monkeypatch, 2)
-        with pytest.raises(SweepFailure, match=r"^order \d failed in a "
-                           r"worker$") as info:
-            run_diagnostics(self.CONFIG, (4, 5, 6, 7), RaisesInWorker())
-        cause = str(info.value.__cause__)
-        assert re.match(r"in diag worker \d+:\n", cause)
-        assert "in batch" in cause and "SweepFailure" in cause
-
-    def test_unpicklable_worker_error(self, monkeypatch, tmp_path):
-        # An exception of a class defined in a function does not pickle:
-        # the worker sends a stand-in with its type name, its message and
-        # its traceback.
-        class LocalError(Exception):
-            pass
-
-        main = os.getpid()
-        started = tmp_path / "started"
-
-        class RaisesInWorker(SeedSchedule):
-            def batch(self, d, k, seed, n):
-                if os.getpid() != main:
-                    started.touch()
-                    raise LocalError("not picklable")
-                deadline = time.monotonic() + 30
-                while not started.exists() and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                return super().batch(d, k, seed, n)
-
-        claim_cores(monkeypatch, 2)
-        with pytest.raises(_pool.WorkerError) as info:
-            run_diagnostics(self.CONFIG, (4, 5, 6, 7), RaisesInWorker())
-        error = info.value
-        assert error.type_name == f"{__name__}.{LocalError.__qualname__}"
-        assert error.message == "not picklable"
-        assert str(error) == f"{error.type_name}: not picklable"
-        assert "LocalError: not picklable" in error.traceback_text
-        assert "in batch" in error.traceback_text
-        assert error.traceback_text in str(error.__cause__)
-
-    def test_error_here_kills_worker(self, monkeypatch, tmp_path):
-        # The worker sleeps in its first order until it is killed, and this
-        # process's order raises once the worker is asleep: the sweep must
-        # kill and reap the worker rather than wait for it.
-        main = os.getpid()
-        started = tmp_path / "started"
-
-        class SleepsInWorker(SeedSchedule):
-            def batch(self, d, k, seed, n):
-                if os.getpid() != main:
-                    (tmp_path / "pid").write_text(str(os.getpid()))
-                    os.replace(tmp_path / "pid", started)
-                    time.sleep(60)
-                deadline = time.monotonic() + 30
-                while not started.exists() and time.monotonic() < deadline:
-                    time.sleep(0.005)
-                raise ValueError("own order failed")
-
-        claim_cores(monkeypatch, 2)
-        begin = time.monotonic()
-        with pytest.raises(ValueError, match="own order failed"):
-            run_diagnostics(self.CONFIG, (4, 5), SleepsInWorker())
-        assert time.monotonic() - begin < 30
-        with pytest.raises(ProcessLookupError):
-            os.kill(int(started.read_text()), 0)
+        assert sorted(embedding.calls) == sorted(
+            (seed, n) for seed in self.CONFIG.seeds for n in orders)
