@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
+import os
 import re
 import sys
 import threading
@@ -623,13 +625,24 @@ class TestControlRecord:
         assert record.log10_tr_exp >= -1e-9
 
 
-class TestInProcessSweep:
+class TestPooledSweep:
     """run_diagnostics computes its orders one after another in this
-    process, on any number of usable cores: it forks no worker and never
-    calls the worker pool."""
+    process, on any number of usable cores: it forks no worker, opens no
+    pipe and never calls the worker pool. (The class and test names date
+    from when the sweep forked a pool; each case still pins the records
+    against a one-core sweep.)"""
 
     CONFIG = DiagnosticsConfig(d=12, k=30, alpha_grid=(1.0, 2.5, 6.0),
                                seeds=(3, 5, 8))
+
+    @pytest.fixture(autouse=True)
+    def clean(self):
+        # After every path no child is left and no descriptor stays open.
+        fds = len(os.listdir("/proc/self/fd"))
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     @staticmethod
     def cells(records) -> list:
@@ -648,13 +661,14 @@ class TestInProcessSweep:
         monkeypatch.setattr(_pool, "run", counting)
         return calls
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("processes", [1, 2, 3])
     @pytest.mark.parametrize("orders", [(5,), (4, 6), (6, 4, 5), (4, 5, 6, 7, 8)])
     @pytest.mark.parametrize("embedding", [
         SeedSchedule(),
         ConstraintRestricted({4: 2, 5: 3, 6: 1, 7: 0, 8: 0}),
         "fails-at-5"], ids=["schedule", "restricted", "fails-at-5"])
-    def test_matches_one_core(self, embedding, orders, cores, monkeypatch):
+    def test_pooled_matches_serial(self, embedding, orders, processes,
+                                   monkeypatch):
         fails = embedding == "fails-at-5"
         if fails:
             class FailsAtFive(SeedSchedule):
@@ -665,15 +679,52 @@ class TestInProcessSweep:
 
             embedding = FailsAtFive()
         claim_cores(monkeypatch, 1)
-        one_core = run_diagnostics(self.CONFIG, orders, embedding)
-        forks = claim_cores(monkeypatch, cores)
+        serial = run_diagnostics(self.CONFIG, orders, embedding)
+        forks = claim_cores(monkeypatch, processes)
         runs = self.count_pool_runs(monkeypatch)
         records = run_diagnostics(self.CONFIG, orders, embedding)
         assert forks == [] and runs == []
         assert [r.n for r in records] == sorted(orders)
-        assert self.cells(records) == self.cells(one_core)
+        assert self.cells(records) == self.cells(serial)
         assert [r.n for r in records if r.error is not None] == \
             ([5] if fails and 5 in orders else [])
+
+    @pytest.mark.parametrize("case", [
+        "one-core", "thread", "fork-1", "pipe-1", "pipe-2"])
+    def test_serial_without_fork(self, case, monkeypatch):
+        # One usable core, a live second thread, or an os.fork or os.pipe
+        # that would refuse its first or second call: the sweep calls
+        # neither and gives the one-core records.
+        orders = (4, 5, 6)
+        claim_cores(monkeypatch, 1)
+        serial = run_diagnostics(self.CONFIG, orders)
+        forks = claim_cores(monkeypatch, 1 if case == "one-core" else 2)
+        calls = []
+        if case != "one-core":
+            call, failing = ("fork", 1) if case == "thread" else \
+                (case[:-2], int(case[-1]))
+            real = getattr(os, call)
+
+            def refusing():
+                calls.append(None)
+                if len(calls) == failing:
+                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return real()
+
+            monkeypatch.setattr(os, call, refusing)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        if case == "thread":
+            helper.start()
+        try:
+            records = run_diagnostics(self.CONFIG, orders)
+        finally:
+            release.set()
+            if case == "thread":
+                helper.join(timeout=60)
+        assert not helper.is_alive()
+        assert forks == [] and calls == []
+        assert self.cells(records) == self.cells(serial)
 
     def test_every_batch_is_drawn_here(self, monkeypatch):
         # State that an embedding changes is seen by the caller: every
