@@ -5,8 +5,8 @@ workers from this process's memory, so the work function, the items and
 everything they reach are inherited, not pickled.  The workers and this
 process claim chunks from that pipe until none is left and apply the work
 function to each chunk they claim, and the workers send their results
-back pickled.  The glue walk runs the subtrees below its split order in
-one call, and the CNF writer its two clause sides in one call.
+back pickled.  Its one caller is the glue walk, which runs the subtrees
+below its split order in one call.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _claimed(items, chunks: int, tokens: int, work,
         results += work(items[chunk::chunks])
 
 
-def run(work, items, processes: int, name: str, results: str) -> list:
+def run(work, items, processes: int) -> list:
     """``work`` of every chunk of ``items``, computed by up to ``processes``
     processes and concatenated in an order that depends on who claimed
     what.
@@ -111,9 +111,9 @@ def run(work, items, processes: int, name: str, results: str) -> list:
     result pipe; results that do not pickle are sent as the pickling
     error.  A worker's exception is raised here with the worker's
     traceback as its cause; a worker that ends without its results raises
-    :class:`RuntimeError`.  ``name`` and ``results`` name the workers and
-    their results in error messages.  Every worker is killed and reaped
-    and every pipe closed however the call ends.
+    :class:`RuntimeError`.  Error messages name the workers glue workers
+    and their results counts.  Every worker is killed and reaped and every
+    pipe closed however the call ends.
     """
     if processes < 2:
         return work(items)
@@ -159,11 +159,11 @@ def run(work, items, processes: int, name: str, results: str) -> list:
                 reader.close()
                 del workers[pid]
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"{name} worker {pid} ended with status "
-                                   f"{status} without its {results}") from None
+                raise RuntimeError(f"glue worker {pid} ended with status "
+                                   f"{status} without its counts") from None
             if result[0] == "error":
                 raise result[1] from RuntimeError(
-                    f"in {name} worker {pid}:\n{result[2]}")
+                    f"in glue worker {pid}:\n{result[2]}")
             out += result[1]
         return out
     finally:

@@ -14,7 +14,6 @@ no artifact depends on the clock.
 from __future__ import annotations
 
 import argparse
-import codecs
 import os
 import stat
 import sys
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cnf import CnfInstance, _pwrite_cnf, stream_cnf, write_map
+from .cnf import CnfInstance, _write_cnf, write_map
 from .combinatorics import (BudgetError, CliqueConstraint, frontier_profile,
                             qubit_cost)
 from .diagnostics import (DiagnosticsConfig, build_accumulator,
@@ -151,27 +150,30 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
     output = args.o
     output.parent.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    # Binary, created and truncated: offsets count bytes, and no append
-    # mode sends each pwrite to the end.
+    written = 0
     with open(output, "wb") as sink:
-        if not stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
-            # A pipe or a device has no offsets: write in order.
-            instance = stream_cnf(args.N, args.m, args.n,
-                                  codecs.getwriter("ascii")(sink))
-        else:
-            try:
-                instance = _pwrite_cnf(args.N, args.m, args.n, sink.fileno())
-            except BaseException:
-                # The header already claims every clause, and a side left
-                # unwritten reads as zeros: keep no such file.
+        regular = stat.S_ISREG(os.fstat(sink.fileno()).st_mode)
+
+        def write(data) -> None:
+            nonlocal written
+            written += sink.write(data)
+
+        try:
+            instance = _write_cnf(args.N, args.m, args.n, write)
+            sink.flush()
+        except BaseException:
+            # The header already claims every clause, so a run cut short,
+            # even in its last flush, keeps no such file; but a FIFO or a
+            # device given as -o is never removed.
+            if regular:
                 output.unlink(missing_ok=True)
-                raise
+            raise
     elapsed = time.perf_counter() - start
     print(f"wrote {output}: {instance.var_count} variables, "
           f"{instance.clause_count} clauses")
     # Run summary on stderr, so no artifact depends on the clock.
     print(f"cnf: {instance.clause_count} clauses, "
-          f"{output.stat().st_size / 1e6:.1f} MB in {elapsed:.2f} s "
+          f"{written / 1e6:.1f} MB in {elapsed:.2f} s "
           f"({instance.clause_count / elapsed / 1e6:.1f}M clauses/s)",
           file=sys.stderr)
     if args.emit_map:

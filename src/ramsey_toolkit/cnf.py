@@ -11,23 +11,21 @@ than the padded width.  Memory per process is one side's table plus one
 block, whatever the clause count: about 7 MB for the negative side and
 6 MB for the positive side at N = 43, m = n = 5.
 
-:func:`stream_cnf` writes the instance in order to any text sink.
-:func:`_pwrite_cnf` writes it into a file: each side's byte length follows
-from (N, m, n) alone, so the two sides go to their own offsets, one
-process each where two cores may be used.
+:func:`_write_cnf` passes the instance in order, as bytes, to any write
+function, all from this process; the ``cnf`` command gives it the write
+of a file, FIFO or device opened in binary.  :func:`stream_cnf` writes
+the same text to any text sink.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, TextIO
 
 import numpy as np
 
-from . import _pool
 from .combinatorics import BudgetError, CliqueConstraint, exists_good_coloring
 
 __all__ = [
@@ -191,24 +189,6 @@ def _stream_clauses(N: int, size: int, sign: str, var: np.ndarray,
     return emitted
 
 
-def _side_bytes(N: int, size: int, sign: str) -> int:
-    """Byte length of the clauses that :func:`_stream_clauses` writes for
-    ``size`` and ``sign``, from the sizes alone.
-
-    Each of the C(N, 2) edges lies in C(N-2, size-2) of the
-    ``size``-subsets, and its token is the sign, its decimal digits and a
-    space; each clause ends in ``0\\n``.  The variables 1..V have
-    ``sum(V - 10**e + 1 for 10**e <= V)`` digits in all.
-    """
-    if size > N:
-        return 0
-    var_count = math.comb(N, 2)
-    token_bytes = (len(sign) + 1) * var_count + sum(
-        var_count - 10 ** e + 1 for e in range(len(str(var_count))))
-    return (math.comb(N - 2, size - 2) * token_bytes
-            + 2 * math.comb(N, size))
-
-
 def _checked(instance: CnfInstance, emitted: int) -> CnfInstance:
     if emitted != instance.clause_count:
         raise RuntimeError(
@@ -221,91 +201,39 @@ def _header(instance: CnfInstance) -> str:
     return f"p cnf {instance.var_count} {instance.clause_count}\n"
 
 
-def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:
-    """Write the full DIMACS instance to ``sink`` and return its header data.
+def _write_cnf(N: int, m: int, n: int,
+               write: Callable[[bytes | np.ndarray], object]) -> CnfInstance:
+    """Pass the full DIMACS instance to ``write`` in order, as bytes-like
+    objects, and return its header data.
 
-    Emits the ``p cnf`` header, then the negative-literal clauses of all
+    Passes the ``p cnf`` header, then the negative-literal clauses of all
     m-subsets in lexicographic order, then the positive-literal clauses of
-    all n-subsets, each through ``sink.write`` of a ``str``.  Clauses go
-    out in blocks of about ``_BLOCK_LITERALS`` literals.  Memory holds one
-    side's table of C(N, size-1) suffix rows and subsets at a time, plus
-    one block.  The ``cnf`` command writes a regular file through
-    :func:`_pwrite_cnf` instead, where each process holds one side's
-    table, both sides at once on two cores.
+    all n-subsets, in blocks of about ``_BLOCK_LITERALS`` literals (1-D
+    ``uint8`` arrays, valid only during the call), all from this process.
+    Memory holds one side's table of C(N, size-1) suffix rows and subsets
+    at a time, plus one block: about 7 MB for the negative side and 6 MB
+    for the positive side at N = 43, m = n = 5.  At (46, 2, 6) the size-6
+    table makes this process peak at about 120 MB; a forked worker that
+    wrote that side at its own file offset peaked at 114 MB while this
+    process stayed at 30 MB.  Raises if the clauses written are not the
+    header's count.
     """
     instance = CnfInstance.for_problem(N, m, n)
-    sink.write(_header(instance))
+    write(_header(instance).encode("ascii"))
     var = _edge_table(N)
     return _checked(instance, sum(
-        _stream_clauses(N, size, sign, var,
-                        lambda block: sink.write(str(block, "ascii")))
+        _stream_clauses(N, size, sign, var, write)
         for size, sign in ((m, "-"), (n, ""))))
 
 
-def _pwrite_all(fd: int, data, offset: int) -> int:
-    """Write all of ``data`` to ``fd`` at ``offset``, looping on short
-    writes; returns the offset after it."""
-    view = memoryview(data)
-    while view:
-        written = os.pwrite(fd, view, offset)
-        offset += written
-        view = view[written:]
-    return offset
+def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:
+    """Write the full DIMACS instance to ``sink`` and return its header data.
 
-
-def _pwrite_side(N: int, size: int, sign: str, var: np.ndarray, fd: int,
-                 start: int, length: int) -> int:
-    """Write one side's clauses to ``fd`` from byte ``start``; returns the
-    clause count.  Raises before writing past ``start + length``, and if
-    the side ends short of it."""
-    end = start + length
-    offset = start
-
-    def write(block: np.ndarray) -> None:
-        nonlocal offset
-        if offset + block.size > end:
-            raise RuntimeError(
-                f"side of size {size} overruns its {length} bytes")
-        offset = _pwrite_all(fd, block, offset)
-
-    emitted = _stream_clauses(N, size, sign, var, write)
-    if offset != end:
-        raise RuntimeError(f"side of size {size} wrote {offset - start} "
-                           f"bytes, not {length}")
-    return emitted
-
-
-def _pwrite_cnf(N: int, m: int, n: int, fd: int) -> CnfInstance:
-    """Write the full DIMACS instance into the regular file open for
-    writing at descriptor ``fd``, which must be empty and not in append
-    mode, and return its header data.
-
-    The bytes are those of :func:`stream_cnf`.  The header goes first, and
-    each side at its own offset with ``os.pwrite``: the negative side
-    right after the header, the positive side :func:`_side_bytes` later.
-    The two sides are the two items of one :func:`_pool.run` call, so with
-    two usable cores a forked worker writes one side while this process
-    writes the other, each holding only its own side's table.  Raises if a
-    side writes other than its precomputed length, or if the file does not
-    end up as long as the header plus both sides.
+    The text is that of :func:`_write_cnf`, which the ``cnf`` command
+    writes as bytes; here each piece goes through ``sink.write`` as a
+    ``str``.
     """
-    instance = CnfInstance.for_problem(N, m, n)
-    offset = _pwrite_all(fd, _header(instance).encode("ascii"), 0)
-    sides = []
-    for size, sign in ((m, "-"), (n, "")):
-        length = _side_bytes(N, size, sign)
-        sides.append((size, sign, offset, length))
-        offset += length
-    var = _edge_table(N)
-    emitted = sum(_pool.run(
-        lambda chunk: [_pwrite_side(N, size, sign, var, fd, start, length)
-                       for size, sign, start, length in chunk],
-        sides, min(len(sides), _pool.allowed_processes()),
-        "cnf", "clause counts"))
-    written = os.fstat(fd).st_size
-    if written != offset:
-        raise RuntimeError(f"wrote a file of {written} bytes, not {offset}")
-    return _checked(instance, emitted)
+    return _write_cnf(N, m, n, lambda data: sink.write(str(data, "ascii")))
 
 
 def write_map(N: int, sink: TextIO) -> int:

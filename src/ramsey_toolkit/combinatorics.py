@@ -514,8 +514,7 @@ def _walk(constraint: CliqueConstraint,
         return tuple(profile)
     work = partial(_counts_below, constraint=constraint, v_max=v_max)
     chunks = _pool.run(work, parents,
-                       processes if len(parents) >= big else 1,
-                       "glue", "counts")
+                       processes if len(parents) >= big else 1)
     counts = [sum(column) for column in zip(*(c for c, _, _, _ in chunks))]
     _, failed, error, trace = min(chunks, key=lambda chunk: chunk[1])
     for v, count in enumerate(counts, start=len(profile) + 1):

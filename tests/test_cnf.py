@@ -10,8 +10,8 @@ import os
 import re
 import sys
 import threading
-import time
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ramsey_toolkit import (CliqueConstraint, CnfInstance, check_small,
                             edge_var, exists_good_coloring, stream_cnf,
                             write_map)
-from ramsey_toolkit import cnf
+from ramsey_toolkit import _pool, cnf
 from ramsey_toolkit.cli import dispatch, main
 from ramsey_toolkit.cnf import _BLOCK_LITERALS, _subsets
 
@@ -276,9 +276,13 @@ class TestByteOracle:
 
 
 class TestPooledCnf:
-    """The CLI writes the header, then each side at its own byte offset,
-    the two sides in one pool call: the bytes must not show it, a failed
-    run must leave no file, and no worker may outlive the call."""
+    """The CLI writes every output, regular file, FIFO or device, in order
+    from this process: the header, then each side's blocks, as bytes.  The
+    bytes must be the reference encoder's, a failed run must remove a
+    regular ``-o`` and leave a FIFO in place, and no worker may be forked.
+    (The class and test names date from when the CLI wrote each side at
+    its own file offset through the worker pool; each case now pins the
+    in-order writer on 1 and 2 claimed cores.)"""
 
     @staticmethod
     def assert_no_children():
@@ -287,37 +291,91 @@ class TestPooledCnf:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
+    def count_pool_runs(monkeypatch) -> list:
+        calls = []
+        run = _pool.run
+
+        def counting(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(_pool, "run", counting)
+        return calls
+
+    @staticmethod
     def reference_bytes(N: int, m: int, n: int) -> bytes:
         expected = io.StringIO()
         _reference_stream(N, m, n, expected)
         return expected.getvalue().encode("ascii")
+
+    @staticmethod
+    def read_fifo(fifo) -> tuple[Callable[[], None], list]:
+        """Start a thread that reads ``fifo`` to its end; returns a join
+        function and the list its bytes go into.
+
+        The join opens and closes a write end until the thread has ended,
+        so a reader still waiting in its open, because the command never
+        opened ``fifo``, reads an empty end instead of hanging the test.
+        """
+        chunks = []
+
+        def drain():
+            with open(fifo, "rb") as reader:
+                chunks.append(reader.read())
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+
+        def join() -> None:
+            while thread.is_alive():
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # ENXIO: no reader has the FIFO open
+                    pass
+                thread.join(0.01)
+
+        return join, chunks
+
+    @staticmethod
+    def fail_positive_side(monkeypatch):
+        """Make the positive side raise before its first block."""
+        stream_clauses = cnf._stream_clauses
+
+        def failing(N, size, sign, var, write):
+            if sign == "":
+                raise ValueError("positive side failed")
+            return stream_clauses(N, size, sign, var, write)
+
+        monkeypatch.setattr(cnf, "_stream_clauses", failing)
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("N,m,n", TestByteOracle.GRID)
     def test_cli_matches_reference(self, tmp_path, monkeypatch, N, m, n,
                                    cores):
         forks = claim_cores(monkeypatch, cores)
+        runs = self.count_pool_runs(monkeypatch)
         target = tmp_path / "instance.cnf"
         assert dispatch(["cnf", "-N", str(N), "-m", str(m), "-n", str(n),
                          "-o", str(target)]) == 0
         _assert_same_text(target.read_bytes(), self.reference_bytes(N, m, n))
-        assert len(forks) == cores - 1
+        assert forks == [] and runs == []
         self.assert_no_children()
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_paper_digest_through_cli(self, tmp_path, monkeypatch, cores):
-        claim_cores(monkeypatch, cores)
+        forks = claim_cores(monkeypatch, cores)
+        runs = self.count_pool_runs(monkeypatch)
         target = tmp_path / "r55_N32.cnf"
         assert dispatch(["cnf", "-N", "32", "-m", "5", "-n", "5",
                          "-o", str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() == \
             TestByteOracle.PAPER_DIGESTS[32]
+        assert forks == [] and runs == []
         self.assert_no_children()
 
     def test_sides_written_here_while_a_thread_lives(self, tmp_path,
                                                      monkeypatch):
-        # A forked child of a threaded process can deadlock, so with a
-        # second thread alive both sides are written here, still by offset.
+        # A second thread alive changes nothing: the CLI never forks.
         forks = claim_cores(monkeypatch, 2)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
@@ -333,8 +391,8 @@ class TestPooledCnf:
         _assert_same_text(target.read_bytes(), self.reference_bytes(12, 3, 4))
 
     def test_pipe_written_in_order(self, tmp_path):
-        # A pipe has no offsets: the CLI streams into it in order, and
-        # leaves it in place.
+        # The CLI writes into a FIFO as into a file, and leaves it in
+        # place.
         fifo = tmp_path / "instance.cnf"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
@@ -347,75 +405,62 @@ class TestPooledCnf:
         _assert_same_text(got, self.reference_bytes(7, 3, 4))
         assert fifo.exists()
 
+    def test_fifo_summary_counts_bytes_written(self, tmp_path, capsys):
+        # The summary's size is the bytes written, not the size of -o,
+        # which reads 0 for a FIFO: both outputs get the same bytes and
+        # the same figure (1.3 MB).
+        fifo, target = tmp_path / "fifo.cnf", tmp_path / "file.cnf"
+        os.mkfifo(fifo)
+        join, chunks = self.read_fifo(fifo)
+        try:
+            assert dispatch(["cnf", "-N", "20", "-o", str(fifo)]) == 0
+        finally:
+            join()
+        piped = capsys.readouterr().err
+        assert dispatch(["cnf", "-N", "20", "-o", str(target)]) == 0
+        filed = capsys.readouterr().err
+        sizes = [re.search(r"clauses, (\S+) MB in", text).group(1)
+                 for text in (piped, filed)]
+        assert sizes == ["1.3", "1.3"]
+        _assert_same_text(chunks[0], target.read_bytes())
+
     @pytest.mark.parametrize("cores", [1, 2])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys,
                                          cores):
-        # The positive side fails, in whichever process writes it: the
-        # header and the negative side are already on disk, and the
-        # command removes them and writes no map.
-        stream_clauses = cnf._stream_clauses
-
-        def failing(N, size, sign, var, write):
-            if sign == "":
-                raise ValueError("positive side failed")
-            return stream_clauses(N, size, sign, var, write)
-
-        monkeypatch.setattr(cnf, "_stream_clauses", failing)
+        # The positive side fails: the header and the negative side are
+        # already written, and the command removes them and writes no map.
+        self.fail_positive_side(monkeypatch)
         forks = claim_cores(monkeypatch, cores)
+        runs = self.count_pool_runs(monkeypatch)
         target = tmp_path / "r55_N12.cnf"
         monkeypatch.setattr(sys, "argv", [
             "ramsey-toolkit", "cnf", "-N", "12", "-o", str(target), "--map"])
         assert main() == 1
         assert "error: positive side failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        assert len(forks) == cores - 1
+        assert forks == [] and runs == []
         self.assert_no_children()
 
-    @pytest.mark.parametrize("sign", ["-", ""])
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_side_length_mismatch_raises(self, tmp_path, monkeypatch, sign,
-                                         delta):
-        # A side that would write past its precomputed length, or that
-        # ends short of it, fails the run and leaves no file.
-        side_bytes = cnf._side_bytes
-        monkeypatch.setattr(
-            cnf, "_side_bytes", lambda N, size, s: side_bytes(N, size, s)
-            + (delta if s == sign else 0))
-        claim_cores(monkeypatch, 2)
-        target = tmp_path / "instance.cnf"
-        with pytest.raises(RuntimeError, match="bytes"):
-            dispatch(["cnf", "-N", "12", "-m", "3", "-n", "4",
-                      "-o", str(target)])
-        assert not target.exists()
-        self.assert_no_children()
-
-    def test_worker_error_carries_its_traceback(self, tmp_path, monkeypatch):
-        # This process waits in its side until the worker has raised in
-        # the other, so the error comes from the worker, with the worker's
-        # traceback chained as its cause.
-        main_pid = os.getpid()
-        raised = tmp_path / "raised"
-        stream_clauses = cnf._stream_clauses
-
-        def failing_in_worker(N, size, sign, var, write):
-            if os.getpid() != main_pid:
-                raised.touch()
-                raise ValueError(f"side {sign!r} failed in the worker")
-            deadline = time.monotonic() + 30
-            while not raised.exists() and time.monotonic() < deadline:
-                time.sleep(0.005)
-            return stream_clauses(N, size, sign, var, write)
-
-        monkeypatch.setattr(cnf, "_stream_clauses", failing_in_worker)
-        forks = claim_cores(monkeypatch, 2)
-        target = tmp_path / "instance.cnf"
-        with pytest.raises(ValueError, match="failed in the worker") as info:
-            dispatch(["cnf", "-N", "12", "-o", str(target)])
-        cause = str(info.value.__cause__)
-        assert re.match(rf"in cnf worker {forks[0]}:\n", cause)
-        assert "in failing_in_worker" in cause
-        assert not target.exists()
-        self.assert_no_children()
+    def test_failed_write_leaves_fifo(self, tmp_path, monkeypatch, capsys):
+        # The same failure into a FIFO exits 1 and writes no map, but the
+        # FIFO is not the command's to remove: the reader gets the header
+        # and the negative side, and the FIFO stays.
+        self.fail_positive_side(monkeypatch)
+        fifo = tmp_path / "r34_N12.cnf"
+        os.mkfifo(fifo)
+        join, chunks = self.read_fifo(fifo)
+        monkeypatch.setattr(sys, "argv", [
+            "ramsey-toolkit", "cnf", "-N", "12", "-m", "3", "-n", "4",
+            "-o", str(fifo), "--map"])
+        try:
+            assert main() == 1
+        finally:
+            join()
+        assert "error: positive side failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [fifo]
+        expected = self.reference_bytes(12, 3, 4)
+        _assert_same_text(chunks[0],
+                          expected[:expected.index(b"\n1 ") + 1])
 
 
 def _endpoints(var: int, N: int) -> tuple[int, int]:

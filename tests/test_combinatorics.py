@@ -1382,8 +1382,8 @@ class TestParallelWalk:
         run = _pool.run
         recorded = []
 
-        def recording(work, items, processes, name, results):
-            out = run(work, items, processes, name, results)
+        def recording(work, items, processes):
+            out = run(work, items, processes)
             recorded.append((items, processes, out))
             return out
 
@@ -1488,10 +1488,10 @@ class TestParallelWalk:
             assert {len(chunks) for _, _, chunks in recorded} == \
                 {16 * processes}
             assert sorted(_pool.run(lambda items: [items], list(range(5)),
-                                    processes, "test", "items")) == \
+                                    processes)) == \
                 [[i] for i in range(5)]
             assert sorted(_pool.run(lambda items: [items], list(range(100)),
-                                    processes, "test", "items")) == \
+                                    processes)) == \
                 [list(range(i, 100, 16 * processes))
                  for i in range(16 * processes)]
             self.assert_no_children()
@@ -1546,9 +1546,9 @@ class TestParallelWalk:
             return items
 
         with pytest.raises((AttributeError, pickle.PicklingError)) as info:
-            _pool.run(work, list(range(4)), 2, "test", "items")
+            _pool.run(work, list(range(4)), 2)
         assert "pickle" in str(info.value)
-        assert re.match(r"in test worker \d+:\n", str(info.value.__cause__))
+        assert re.match(r"in glue worker \d+:\n", str(info.value.__cause__))
         self.assert_no_children()
 
     def test_unpicklable_error_in_worker(self, tmp_path, monkeypatch,
