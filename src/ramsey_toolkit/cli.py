@@ -149,26 +149,37 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
     CnfInstance.for_problem(args.N, args.m, args.n)
     output = args.o
     output.parent.mkdir(parents=True, exist_ok=True)
+    map_path = Path(str(output) + ".map")
+    regular = []
+
+    def opened(path: Path, mode: str, **kwargs):
+        sink = open(path, mode, **kwargs)
+        if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
+            regular.append(path)
+        return sink
+
     start = time.perf_counter()
     written = 0
-    with open(output, "wb") as sink:
-        regular = stat.S_ISREG(os.fstat(sink.fileno()).st_mode)
+    try:
+        with opened(output, "wb") as sink:
 
-        def write(data) -> None:
-            nonlocal written
-            written += sink.write(data)
+            def write(data) -> None:
+                nonlocal written
+                written += sink.write(data)
 
-        try:
             instance = _write_cnf(args.N, args.m, args.n, write)
-            sink.flush()
-        except BaseException:
-            # The header already claims every clause, so a run cut short,
-            # even in its last flush, keeps no such file; but a FIFO or a
-            # device given as -o is never removed.
-            if regular:
-                output.unlink(missing_ok=True)
-            raise
-    elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        if args.emit_map:
+            with opened(map_path, "w", encoding="ascii",
+                        newline="") as map_sink:
+                count = write_map(args.N, map_sink)
+    except BaseException:
+        # The header already claims every clause, so a run cut short,
+        # even in its last flush or in the map, keeps neither file; but a
+        # FIFO or a device given as -o or as the map is never removed.
+        for path in regular:
+            path.unlink(missing_ok=True)
+        raise
     print(f"wrote {output}: {instance.var_count} variables, "
           f"{instance.clause_count} clauses")
     # Run summary on stderr, so no artifact depends on the clock.
@@ -177,9 +188,6 @@ def _cmd_cnf(args: argparse.Namespace) -> int:
           f"({instance.clause_count / elapsed / 1e6:.1f}M clauses/s)",
           file=sys.stderr)
     if args.emit_map:
-        map_path = Path(str(output) + ".map")
-        with open(map_path, "w", encoding="ascii", newline="") as sink:
-            count = write_map(args.N, sink)
         print(f"wrote {map_path}: {count} edges")
     return 0
 

@@ -5,11 +5,12 @@ contributes a clause forbidding an all-red clique, every n-subset one
 forbidding an all-blue clique.  Clauses are streamed in lexicographic
 subset order, so the emitted bytes are a pure function of (N, m, n).
 Per clause size, the (size-1)-subsets are built as one numpy table and
-their suffix rows gathered once; each block then gathers its heads and is
-written as fixed-width bytes, compacted only where a literal is narrower
-than the padded width.  Memory per process is one side's table plus one
-block, whatever the clause count: about 7 MB for the negative side and
-6 MB for the positive side at N = 43, m = n = 5.
+their suffix rows gathered once; when m = n, the positive side reuses the
+negative side's table and turns its suffix rows positive in place.  Each
+block then gathers its heads and is written as fixed-width bytes; where a
+literal is narrower than the padded width, one ``bytes.translate`` pass
+drops the zero padding.  Memory is one table of each kind plus one
+block, whatever the clause count: about 7 MB at N = 43, m = n = 5.
 
 :func:`_write_cnf` passes the instance in order, as bytes, to any write
 function, all from this process; the ``cnf`` command gives it the write
@@ -130,44 +131,75 @@ def _subsets(N: int, k: int) -> np.ndarray:
     return table
 
 
-def _stream_clauses(N: int, size: int, sign: str, var: np.ndarray,
-                    write: Callable[[np.ndarray], object]) -> int:
-    """Pass the clauses of every ``size``-subset of 1..N, with literals
-    signed by ``sign``, to ``write``, in lexicographic order, one call per
-    block of subsets; returns the clause count.
+def _block_rows(size: int) -> int:
+    """Subsets per block for clauses of ``size`` vertices."""
+    return max(1, _BLOCK_LITERALS // math.comb(size, 2))
 
-    Each call gets the block's ASCII bytes as a 1-D ``uint8`` array, valid
-    only during the call.  Each clause is the tokens of the subset's edge
-    variables (``var``, from :func:`_edge_table`) in ``combinations``
-    order, then ``0``.  For the subset ``{i} + S`` with ``i < min S`` that
-    is the head, the tokens of the edges ``(i, s)`` for ``s`` in ``S``,
-    followed by the suffix, the tokens of the pairs inside ``S``.  The
-    suffix rows of all ``(size-1)``-subsets ``S`` (built by
-    :func:`_subsets`) are gathered once, in lexicographic order; those
-    with ``min S > i`` are a contiguous tail of that table, so a block for
-    first vertex ``i`` gathers only its heads and copies a slice of suffix
-    rows.  Rows are fixed-width bytes.  When the token of ``var(i, i+1)``,
-    the smallest variable in the block, fills the padded width, so does
-    every token of the block and the rows are the clause text as they
-    stand; otherwise dropping the zero padding leaves it.  Memory holds
-    the table of C(N, size-1) suffix rows and subsets, plus one block.
-    """
-    if size > N:
-        return 0
-    tokens = _token_table(math.comb(N, 2), sign)
-    k = size - 1
-    suffixes = _subsets(N, k)
-    p, q = np.array(list(combinations(range(k), 2)),
+
+def _suffix_rows(suffixes: np.ndarray, tokens: np.ndarray,
+                 var: np.ndarray, block_rows: int) -> np.ndarray:
+    """The padded tokens of the pairs inside each row of ``suffixes``, in
+    ``combinations`` order, as one C-contiguous ``uint8`` row per subset,
+    gathered ``block_rows`` subsets at a time."""
+    p, q = np.array(list(combinations(range(suffixes.shape[1]), 2)),
                     dtype=np.intp).reshape(-1, 2).T
-    block_rows = max(1, _BLOCK_LITERALS // math.comb(size, 2))
-    head_width = k * tokens.itemsize
-    width = head_width + p.size * tokens.itemsize
-    suffix_rows = np.empty((suffixes.shape[0], width - head_width),
-                           dtype=np.uint8)
+    rows = np.empty((suffixes.shape[0], p.size * tokens.itemsize),
+                    dtype=np.uint8)
     for start in range(0, suffixes.shape[0], block_rows):
         chunk = suffixes[start:start + block_rows]
-        suffix_rows[start:start + chunk.shape[0]] = np.take(
+        rows[start:start + chunk.shape[0]] = np.take(
             tokens, var[chunk[:, p], chunk[:, q]]).view(np.uint8)
+    return rows
+
+
+def _unsigned_rows(rows: np.ndarray, width: int,
+                   block_rows: int) -> np.ndarray:
+    """Turn negative suffix rows into the positive rows of ``width`` bytes
+    in place, a block of rows at a time, and return them as a view of the
+    front of the same buffer.
+
+    A padded ``-t`` token is the padded ``t`` token with a ``-`` in front,
+    the only ``-`` in it, so one ``bytes.translate`` pass that drops every
+    ``-`` leaves the positive rows.  Rows only shrink, so a block never
+    lands on rows not yet read.
+    """
+    count = rows.shape[0]
+    flat = rows.reshape(-1)
+    for start in range(0, count, block_rows):
+        stop = min(count, start + block_rows)
+        flat[start * width:stop * width] = np.frombuffer(
+            rows[start:stop].tobytes().translate(None, b"-"), dtype=np.uint8)
+    return flat[:count * width].reshape(count, width)
+
+
+def _stream_clauses(N: int, tokens: np.ndarray, var: np.ndarray,
+                    suffixes: np.ndarray, suffix_rows: np.ndarray,
+                    write: Callable[[bytes | np.ndarray], object]) -> int:
+    """Pass the clauses of every (k+1)-subset of 1..N, k the width of
+    ``suffixes``, with literals from ``tokens`` (:func:`_token_table`), to
+    ``write``, in lexicographic order, one call per block of subsets;
+    returns the clause count.
+
+    ``suffixes`` is :func:`_subsets` ``(N, k)`` and ``suffix_rows`` its
+    rows of padded pair tokens with the same sign (:func:`_suffix_rows`).
+    Each clause is the tokens of the subset's edge variables (``var``,
+    from :func:`_edge_table`) in ``combinations`` order, then ``0``.  For
+    the subset ``{i} + S`` with ``i < min S`` that is the head, the tokens
+    of the edges ``(i, s)`` for ``s`` in ``S``, followed by the suffix row
+    of ``S``.  The suffixes with ``min S > i`` are a contiguous tail of
+    the table, so a block for first vertex ``i`` gathers only its heads
+    and copies a slice of suffix rows.  Rows are fixed-width bytes.  When
+    the token of ``var(i, i+1)``, the smallest variable in the block,
+    fills the padded width, so does every token of the block, and
+    ``write`` gets the rows as they stand: a 1-D ``uint8`` array, valid
+    only during the call.  Otherwise the zero padding, the only NUL bytes
+    in a block, is dropped in one ``bytes.translate`` pass and ``write``
+    gets ``bytes``.  Memory beyond the tables is one block.
+    """
+    k = suffixes.shape[1]
+    block_rows = _block_rows(k + 1)
+    head_width = k * tokens.itemsize
+    width = head_width + suffix_rows.shape[1]
     rows = np.empty((min(block_rows, math.comb(N - 1, k)), width + 2),
                     dtype=np.uint8)
     rows[:, width:] = np.frombuffer(b"0\n", dtype=np.uint8)
@@ -184,7 +216,8 @@ def _stream_clauses(N: int, size: int, sign: str, var: np.ndarray,
             out[:, :head_width] = np.take(heads, tail).view(np.uint8)
             out[:, head_width:width] = suffix_rows[start:start
                                                    + tail.shape[0]]
-            write((out if full_width else out[out != 0]).reshape(-1))
+            write(out.reshape(-1) if full_width
+                  else out.tobytes().translate(None, b"\0"))
             emitted += tail.shape[0]
     return emitted
 
@@ -208,22 +241,43 @@ def _write_cnf(N: int, m: int, n: int,
 
     Passes the ``p cnf`` header, then the negative-literal clauses of all
     m-subsets in lexicographic order, then the positive-literal clauses of
-    all n-subsets, in blocks of about ``_BLOCK_LITERALS`` literals (1-D
-    ``uint8`` arrays, valid only during the call), all from this process.
-    Memory holds one side's table of C(N, size-1) suffix rows and subsets
-    at a time, plus one block: about 7 MB for the negative side and 6 MB
-    for the positive side at N = 43, m = n = 5.  At (46, 2, 6) the size-6
-    table makes this process peak at about 120 MB; a forked worker that
-    wrote that side at its own file offset peaked at 114 MB while this
-    process stayed at 30 MB.  Raises if the clauses written are not the
-    header's count.
+    all n-subsets, in blocks of about ``_BLOCK_LITERALS`` literals, all
+    from this process.  A block is a 1-D ``uint8`` array, valid only
+    during the call, when every literal in it has the padded width, and
+    ``bytes`` otherwise (see :func:`_stream_clauses`).  The table of
+    (size-1)-subsets is built once per clause size: when m = n, the
+    positive side reuses the negative side's table and its suffix rows,
+    with every ``-`` dropped in place; otherwise the first side's tables
+    are dropped before the second side's are built.  Memory holds those
+    tables plus one block: about 7 MB at N = 43, m = n = 5.  At (46, 2, 6)
+    the size-6 table makes this process peak at about 120 MB; a forked
+    worker that wrote that side at its own file offset peaked at 114 MB
+    while this process stayed at 30 MB.  Raises if the clauses written are
+    not the header's count.
     """
     instance = CnfInstance.for_problem(N, m, n)
     write(_header(instance).encode("ascii"))
     var = _edge_table(N)
-    return _checked(instance, sum(
-        _stream_clauses(N, size, sign, var, write)
-        for size, sign in ((m, "-"), (n, ""))))
+    emitted = 0
+    suffixes = suffix_rows = None
+    for size, sign in ((m, "-"), (n, "")):
+        if size > N:
+            continue
+        tokens = _token_table(instance.var_count, sign)
+        block_rows = _block_rows(size)
+        if suffixes is not None and suffixes.shape[1] == size - 1:
+            # m = n: the positive side reuses the negative side's tables.
+            suffix_rows = _unsigned_rows(
+                suffix_rows, math.comb(size - 1, 2) * tokens.itemsize,
+                block_rows)
+        else:
+            # Drop the other side's tables before building these.
+            suffixes = suffix_rows = None
+            suffixes = _subsets(N, size - 1)
+            suffix_rows = _suffix_rows(suffixes, tokens, var, block_rows)
+        emitted += _stream_clauses(N, tokens, var, suffixes, suffix_rows,
+                                   write)
+    return _checked(instance, emitted)
 
 
 def stream_cnf(N: int, m: int, n: int, sink: TextIO) -> CnfInstance:

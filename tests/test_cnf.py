@@ -202,6 +202,25 @@ class TestSubsets:
         assert table[0].tolist() == [1, 2, 3, 4, 5]
         assert table[-1].tolist() == [42, 43, 44, 45, 46]
 
+    @pytest.mark.parametrize("N,m,n,sizes", [(12, 5, 5, [4]),
+                                             (12, 4, 5, [3, 4])],
+                             ids=["12-5-5", "12-4-5"])
+    def test_one_table_per_clause_size(self, monkeypatch, N, m, n, sizes):
+        # Both sides of a diagonal instance share one subset table.
+        calls = []
+        subsets = cnf._subsets
+
+        def counting(N, k):
+            calls.append(k)
+            return subsets(N, k)
+
+        monkeypatch.setattr(cnf, "_subsets", counting)
+        got, expected = io.StringIO(), io.StringIO()
+        stream_cnf(N, m, n, got)
+        _reference_stream(N, m, n, expected)
+        _assert_same_text(got.getvalue(), expected.getvalue())
+        assert calls == sizes
+
 
 class TestByteOracle:
     """The chunked encoder writes exactly the reference encoder's bytes."""
@@ -338,13 +357,16 @@ class TestPooledCnf:
 
     @staticmethod
     def fail_positive_side(monkeypatch):
-        """Make the positive side raise before its first block."""
+        """Make the positive side, the second ``_stream_clauses`` call,
+        raise before its first block."""
         stream_clauses = cnf._stream_clauses
+        calls = []
 
-        def failing(N, size, sign, var, write):
-            if sign == "":
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
                 raise ValueError("positive side failed")
-            return stream_clauses(N, size, sign, var, write)
+            return stream_clauses(*args)
 
         monkeypatch.setattr(cnf, "_stream_clauses", failing)
 
@@ -461,6 +483,50 @@ class TestPooledCnf:
         expected = self.reference_bytes(12, 3, 4)
         _assert_same_text(chunks[0],
                           expected[:expected.index(b"\n1 ") + 1])
+
+    @pytest.mark.parametrize("failure", ["directory", "partial"])
+    def test_failed_map_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                       failure):
+        # The map cannot be opened (its path is a directory) or fails
+        # after its first line: the command exits 1, removes the regular
+        # -o and a partial map, and prints no "wrote" line.
+        target = tmp_path / "r34_N12.cnf"
+        map_path = tmp_path / "r34_N12.cnf.map"
+        if failure == "directory":
+            map_path.mkdir()
+        else:
+            def partial(N, sink):
+                sink.write("1 1 2\n")
+                sink.flush()
+                raise OSError("map failed")
+
+            monkeypatch.setattr("ramsey_toolkit.cli.write_map", partial)
+        monkeypatch.setattr(sys, "argv", [
+            "ramsey-toolkit", "cnf", "-N", "12", "-m", "3", "-n", "4",
+            "-o", str(target), "--map"])
+        assert main() == 1
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and "error: " in err
+        assert list(tmp_path.iterdir()) == (
+            [map_path] if failure == "directory" else [])
+
+    def test_failed_map_leaves_fifo(self, tmp_path, capsys):
+        # The same failure after a complete instance went into a FIFO:
+        # the FIFO is not the command's to remove, and the reader got
+        # every byte.
+        fifo = tmp_path / "r34_N12.cnf"
+        os.mkfifo(fifo)
+        (tmp_path / "r34_N12.cnf.map").mkdir()
+        join, chunks = self.read_fifo(fifo)
+        try:
+            with pytest.raises(IsADirectoryError):
+                dispatch(["cnf", "-N", "12", "-m", "3", "-n", "4",
+                          "-o", str(fifo), "--map"])
+        finally:
+            join()
+        assert "wrote" not in capsys.readouterr().out
+        assert fifo.exists()
+        _assert_same_text(chunks[0], self.reference_bytes(12, 3, 4))
 
 
 def _endpoints(var: int, N: int) -> tuple[int, int]:
